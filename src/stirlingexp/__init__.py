@@ -1,7 +1,7 @@
 """Exact coefficients of the Stirling expansion of n!.
 
 The expansion  n! ~ sqrt(2 pi n) e^-n n^n (1 + 1/(12n) + 1/(288n^2) + ...)
-has rational coefficients.  This package computes them by five
+has rational coefficients.  This package computes them by six
 independent exact methods, proves their agreement, verifies the
 combinatorial identities underlying them, and validates the expansion
 numerically at arbitrary precision.

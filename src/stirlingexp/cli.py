@@ -195,7 +195,7 @@ def _run_verify(args) -> int:
         raise _UsageError("--max must be >= 3")
     reports = identities.run_all(args.max)
     reports.append(asymptotic.reciprocal_consistency(args.max))
-    cross = coefficients.verify_all(min(args.max, 12))
+    cross = coefficients.verify_all(args.max)
     ok = all(r.ok for r in reports) and cross.agreed
     if args.format == "json":
         payload = {

@@ -2,7 +2,7 @@
 
 The target numbers a_k are the rational coefficients of the asymptotic
 expansion  n! ~ sqrt(2 pi n) e^-n n^n (a_0 + a_1/n + a_2/n^2 + ...),
-with a_0 = 1, a_1 = 1/12, a_2 = 1/288.  They are computed here by five
+with a_0 = 1, a_1 = 1/12, a_2 = 1/288.  They are computed here by six
 genuinely different methods, all exact:
 
   * high derivatives of a rational power of the truncated-exp kernel,
@@ -10,10 +10,11 @@ genuinely different methods, all exact:
   * an alternating sum over restricted set-partition counts,
   * an alternating sum over restricted permutation counts,
   * the exponential of the classical Bernoulli-number series,
+  * the coefficient table of the compositional inverse of
+    x * sqrt(kernel).
 
-plus a sixth route through the coefficient table of the compositional
-inverse of x * sqrt(kernel).  Agreement across all of them is exposed as
-a first-class cross-check (verify_all), not just as a test.
+Agreement across all of them is exposed as a first-class cross-check
+(verify_all), not just as a test.
 """
 
 from __future__ import annotations
@@ -166,6 +167,14 @@ def coeff_via_derangement_sum(k: int) -> Fraction:
     )
 
 
+def _bernoulli_exponent(order: int) -> TruncatedSeries:
+    """sum_{m>=1} B_2m / (2m (2m-1)) x^(2m-1), truncated at ``order``."""
+    coeffs = [Fraction(0)] * (order + 1)
+    for m in range(1, (order + 1) // 2 + 1):
+        coeffs[2 * m - 1] = combinat.bernoulli(2 * m) / (2 * m * (2 * m - 1))
+    return TruncatedSeries(coeffs, order=order)
+
+
 def coeff_via_bernoulli(k: int) -> Fraction:
     """a_k from exponentiating the classical Bernoulli correction series.
 
@@ -175,12 +184,7 @@ def coeff_via_bernoulli(k: int) -> Fraction:
     _require_index(k)
     if k == 0:
         return Fraction(1)
-    coeffs = [Fraction(0)] * (k + 1)
-    for m in range(1, k // 2 + 2):
-        if 2 * m - 1 > k:
-            break
-        coeffs[2 * m - 1] = combinat.bernoulli(2 * m) / (2 * m * (2 * m - 1))
-    return TruncatedSeries(coeffs, order=k).exp()[k]
+    return _bernoulli_exponent(k).exp()[k]
 
 
 def coeff_from_inverse_table(
@@ -288,9 +292,13 @@ def inverse_egf_by_recurrence(
 
 
 def expansion_coefficients(index_max: int) -> list[Fraction]:
-    """a_0 .. a_index_max by the cheapest closed route (Bernoulli series)."""
+    """a_0 .. a_index_max by the cheapest closed route (Bernoulli series).
+
+    One exponential of order index_max yields every coefficient at once;
+    coeff_via_bernoulli(k) is the same series cut at order k.
+    """
     _require_index(index_max)
-    return [coeff_via_bernoulli(k) for k in range(index_max + 1)]
+    return list(_bernoulli_exponent(index_max).exp().coeffs)
 
 
 _METHOD_FUNCS = {

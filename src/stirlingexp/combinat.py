@@ -107,7 +107,10 @@ def stirling2_from_series(r: int, l: int, j: int, order: int) -> int:
     )
     base = full - head
     value = (base**j / math.factorial(j)).egf_coefficient(l)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"series extraction of S_{r}({l}, {j}) is not an integer: {value}"
+        )
     return int(value)
 
 
@@ -126,7 +129,10 @@ def derangement_from_series(r: int, l: int, j: int, order: int) -> int:
     )
     base = full - head
     value = (base**j / math.factorial(j)).egf_coefficient(l)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"series extraction of D_{r}({l}, {j}) is not an integer: {value}"
+        )
     return int(value)
 
 

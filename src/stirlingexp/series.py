@@ -2,9 +2,18 @@
 
 A :class:`TruncatedSeries` holds the ordinary coefficients of a formal
 power series through a fixed truncation order K.  Every operation is
-exact: arithmetic is done in ``fractions.Fraction``, truncation discards
-only powers above K, and retained coefficients are never perturbed.
-Floating point is deliberately not accepted anywhere in this module.
+exact: coefficients are reduced ``fractions.Fraction`` values, truncation
+discards only powers above K, and retained coefficients are never
+perturbed.  Floating point is deliberately not accepted anywhere in this
+module.
+
+The products and recurrences do not add Fractions term by term, which
+would reduce every partial sum by a gcd.  Each lifts its inputs once to
+integer numerators over a common denominator (the lcm of the input
+denominators), accumulates every inner sum as an ``int``, and normalises
+once per output coefficient, when it builds that coefficient's reduced
+Fraction.  The recurrences keep the outputs they have produced so far
+over a running common denominator for the same reason.
 
 The truncation order is explicit on every series and there is no global
 precision state.  Mixing two series of different orders is treated as a
@@ -15,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
@@ -46,6 +56,37 @@ def format_rational(value: Scalar) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or ``p`` back into a Fraction."""
     return Fraction(text.strip())
+
+
+def _lift(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``coeffs`` over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+class _Running:
+    """The outputs of a recurrence so far, as integer numerators over one
+    common denominator ``den``; ``values`` keeps them as reduced Fractions.
+
+    ``den`` grows only when a new output's denominator does not divide it,
+    and then every earlier numerator is rescaled once.
+    """
+
+    __slots__ = ("nums", "den", "values")
+
+    def __init__(self, first: Fraction):
+        self.nums = [first.numerator]
+        self.den = first.denominator
+        self.values = [first]
+
+    def append(self, value: Fraction) -> None:
+        d = value.denominator
+        if self.den % d:
+            scale = d // math.gcd(self.den, d)
+            self.nums = [n * scale for n in self.nums]
+            self.den *= scale
+        self.nums.append(value.numerator * (self.den // d))
+        self.values.append(value)
 
 
 class TruncatedSeries:
@@ -175,11 +216,16 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._require_same_order(other)
-            a, b = self._coeffs, other._coeffs
-            out = [
-                sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0))
-                for n in range(len(a))
-            ]
+            a, da = _lift(self._coeffs)
+            b, db = _lift(other._coeffs)
+            # drop leading zeros: output n starts at the sum of the valuations
+            za = next((i for i, v in enumerate(a) if v), len(a))
+            zb = next((i for i, v in enumerate(b) if v), len(b))
+            a, b = a[za:], b[zb:]
+            den = da * db
+            out = [Fraction(0)] * min(za + zb, len(self._coeffs))
+            for m in range(len(self._coeffs) - len(out)):
+                out.append(Fraction(sum(map(mul, a, reversed(b[: m + 1]))), den))
             return TruncatedSeries(out)
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self._coeffs])
@@ -248,13 +294,16 @@ class TruncatedSeries:
         c0 = self._coeffs[0]
         if c0 == 0:
             raise ValueError("multiplicative inverse requires a nonzero constant term")
-        out = [Fraction(1) / c0]
-        for n in range(1, self.order + 1):
-            acc = sum(
-                (self._coeffs[j] * out[n - j] for j in range(1, n + 1)), Fraction(0)
+        f, df = _lift(self._coeffs)
+        f1 = f[1:]
+        out = _Running(1 / c0)
+        for _ in range(self.order):
+            # out[n] = -sum_{j=1..n} f[j] out[n-j] / c0
+            acc = sum(map(mul, f1, reversed(out.nums)))
+            out.append(
+                Fraction(-acc * c0.denominator, df * out.den * c0.numerator)
             )
-            out.append(-acc / c0)
-        return TruncatedSeries(out)
+        return TruncatedSeries(out.values)
 
     def exp(self) -> "TruncatedSeries":
         """exp(self), requiring a zero constant term.
@@ -264,25 +313,26 @@ class TruncatedSeries:
         """
         if self._coeffs[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        f = self._coeffs
-        out = [Fraction(1)]
+        f, df = _lift(self._coeffs)
+        mf = [m * v for m, v in enumerate(f)][1:]
+        out = _Running(Fraction(1))
         for n in range(1, self.order + 1):
-            acc = sum((m * f[m] * out[n - m] for m in range(1, n + 1)), Fraction(0))
-            out.append(acc / n)
-        return TruncatedSeries(out)
+            acc = sum(map(mul, mf, reversed(out.nums)))
+            out.append(Fraction(acc, n * df * out.den))
+        return TruncatedSeries(out.values)
 
     def log1p(self) -> "TruncatedSeries":
         """log(1 + self), requiring a zero constant term."""
         if self._coeffs[0] != 0:
             raise ValueError("log1p requires a zero constant term")
-        f = self._coeffs
-        out = [Fraction(0)]
+        f, df = _lift(self._coeffs)
+        out = _Running(Fraction(0))
         for n in range(1, self.order + 1):
-            acc = sum(
-                ((n - j) * f[j] * out[n - j] for j in range(1, n)), Fraction(0)
-            )
-            out.append(f[n] - acc / n)
-        return TruncatedSeries(out)
+            # out[n] = f[n] - sum_{j=1..n-1} (n-j) f[j] out[n-j] / n
+            o = out.nums
+            acc = sum((n - j) * f[j] * o[n - j] for j in range(1, n))
+            out.append(Fraction(n * f[n] * out.den - acc, n * df * out.den))
+        return TruncatedSeries(out.values)
 
     def power_rational(self, exponent: Scalar) -> "TruncatedSeries":
         """self**exponent for a rational exponent, requiring constant term 1.
@@ -294,15 +344,19 @@ class TruncatedSeries:
         if self._coeffs[0] != 1:
             raise ValueError("power_rational requires constant term exactly 1")
         r = as_fraction(exponent)
-        f = self._coeffs
-        out = [Fraction(1)]
+        f, df = _lift(self._coeffs)
+        f1 = f[1:]
+        jf1 = [j * v for j, v in enumerate(f)][1:]
+        rn, rd = r.numerator, r.denominator
+        out = _Running(Fraction(1))
         for n in range(1, self.order + 1):
-            acc = r * sum(
-                (j * f[j] * out[n - j] for j in range(1, n + 1)), Fraction(0)
-            )
-            acc -= sum((j * out[j] * f[n - j] for j in range(1, n)), Fraction(0))
-            out.append(acc / n)
-        return TruncatedSeries(out)
+            # n P[n] = r sum_{j=1..n} j f[j] P[n-j] - sum_{j=1..n-1} j P[j] f[n-j]
+            #        = sum_{j=1..n} (r j - (n - j)) f[j] P[n-j]
+            jfp = sum(map(mul, jf1, reversed(out.nums)))
+            fp = sum(map(mul, f1, reversed(out.nums)))
+            acc = (rn + rd) * jfp - rd * n * fp
+            out.append(Fraction(acc, rd * n * df * out.den))
+        return TruncatedSeries(out.values)
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse S with S(self) == x through the full order.
@@ -320,13 +374,23 @@ class TruncatedSeries:
         powers = [None, self]  # powers[m] = self^m, truncated
         for m in range(2, K + 1):
             powers.append(powers[-1] * self)
-        s = [Fraction(0), Fraction(1) / f[1]]
+        s = _Running(Fraction(0))
+        s.append(1 / f[1])
         for m in range(2, K + 1):
+            # s[m] = -sum_{i=1..m-1} s[i] powers[i][m] / f[1]^m
+            column = [powers[i]._coeffs[m] for i in range(1, m)]
+            den = math.lcm(*(c.denominator for c in column))
             acc = sum(
-                (s[i] * powers[i][m] for i in range(1, m)), Fraction(0)
+                si * c.numerator * (den // c.denominator)
+                for si, c in zip(s.nums[1:], column)
             )
-            s.append(-acc / (f[1] ** m))
-        return TruncatedSeries(s, order=K)
+            s.append(
+                Fraction(
+                    -acc * f[1].denominator**m,
+                    s.den * den * f[1].numerator**m,
+                )
+            )
+        return TruncatedSeries(s.values, order=K)
 
     # ------------------------------------------------------------------
     # presentation and serialization

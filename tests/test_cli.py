@@ -143,6 +143,16 @@ def test_verify_json_ok_flag(capsys):
     assert "reciprocal-consistency" in names
 
 
+def test_verify_cross_check_covers_the_requested_range(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--max", "14", "--format", "json"])
+    assert code == 0
+    cross = json.loads(out)["cross_check"]
+    assert cross["index_max"] == 14
+    assert all(len(t["values"]) == 15 for t in cross["tables"])
+    code, out, _ = run_cli(capsys, ["verify", "--max", "14"])
+    assert out.splitlines()[-1] == "ok   coefficient-cross-check [0..14]"
+
+
 def test_verify_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, ["verify", "--max", "6", "--format", "json"])
     _, second, _ = run_cli(capsys, ["verify", "--max", "6", "--format", "json"])

@@ -174,6 +174,9 @@ def test_double_factorial_odd():
 
 def test_expansion_coefficients_helper():
     assert expansion_coefficients(4) == KNOWN_EXPANSION
+    per_index = [coeff_via_bernoulli(k) for k in range(31)]
+    for index_max in range(31):
+        assert expansion_coefficients(index_max) == per_index[: index_max + 1]
 
 
 def test_coefficient_table_dispatch():

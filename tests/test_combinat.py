@@ -100,6 +100,16 @@ def test_series_extraction_recovers_larger_tables():
             )
 
 
+@pytest.mark.parametrize("extract", [stirling2_from_series, derangement_from_series])
+def test_series_extraction_rejects_a_non_integral_count(extract, monkeypatch):
+    # a guard that must survive python -O, so an error and not an assert
+    monkeypatch.setattr(
+        TruncatedSeries, "egf_coefficient", lambda self, index: Fraction(7, 3)
+    )
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        extract(3, 6, 2, 6)
+
+
 def test_enumeration_cap_enforced():
     with pytest.raises(ValueError):
         enumerate_oracle(3, ENUMERATION_LIMIT + 1, 1, "partition")

@@ -420,3 +420,119 @@ def test_reversion_round_trips(f, linear):
 def test_egf_ordinary_round_trip(f):
     for n in range(f.order + 1):
         assert f.egf_coefficient(n) == math.factorial(n) * f[n]
+
+
+# ----------------------------------------------------------------------
+# every kernel against a schoolbook Fraction implementation
+#
+# The operations accumulate integer numerators over common denominators;
+# these references add Fractions term by term, so any slip in the
+# bookkeeping of denominators, leading zeros or weights shows as a
+# mismatch.  Coefficients mix coprime denominators and prime powers, and
+# the head of each series is a run of zeros whose length is drawn too
+# (it may cover the whole series).
+
+
+def _naive_mul(a, b):
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0))
+            for n in range(len(a))]
+
+
+def _naive_inverse(f):
+    out = [1 / f[0]]
+    for n in range(1, len(f)):
+        acc = sum((f[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
+        out.append(-acc / f[0])
+    return out
+
+
+def _naive_exp(f):
+    out = [Fraction(1)]
+    for n in range(1, len(f)):
+        acc = sum((m * f[m] * out[n - m] for m in range(1, n + 1)), Fraction(0))
+        out.append(acc / n)
+    return out
+
+
+def _naive_log1p(f):
+    out = [Fraction(0)]
+    for n in range(1, len(f)):
+        acc = sum(((n - j) * f[j] * out[n - j] for j in range(1, n)), Fraction(0))
+        out.append(f[n] - acc / n)
+    return out
+
+
+def _naive_power_rational(f, r):
+    out = [Fraction(1)]
+    for n in range(1, len(f)):
+        acc = r * sum((j * f[j] * out[n - j] for j in range(1, n + 1)), Fraction(0))
+        acc -= sum((j * out[j] * f[n - j] for j in range(1, n)), Fraction(0))
+        out.append(acc / n)
+    return out
+
+
+def _naive_reversion(f):
+    K = len(f) - 1
+    powers = [None, list(f)]
+    for _ in range(2, K + 1):
+        powers.append(_naive_mul(powers[-1], f))
+    s = [Fraction(0), 1 / f[1]]
+    for m in range(2, K + 1):
+        acc = sum((s[i] * powers[i][m] for i in range(1, m)), Fraction(0))
+        s.append(-acc / f[1] ** m)
+    return s
+
+
+_kernel_rationals = st.builds(
+    Fraction,
+    st.integers(-60, 60),
+    st.sampled_from([1, 2, 3, 5, 7, 11, 13, 16, 27, 49, 97]),
+)
+_nonzero_rationals = _kernel_rationals.filter(lambda q: q != 0)
+
+
+@st.composite
+def _zero_led(draw, head=(), min_order=0, max_order=12):
+    """Coefficients: ``head``, then a run of zeros, then arbitrary values."""
+    order = draw(st.integers(max(min_order, len(head) - 1), max_order))
+    free = order + 1 - len(head)
+    zeros = draw(st.integers(0, free))
+    tail = draw(st.lists(_kernel_rationals, min_size=free - zeros,
+                         max_size=free - zeros))
+    return list(head) + [Fraction(0)] * zeros + tail
+
+
+@given(st.data())
+def test_mul_matches_schoolbook(data):
+    a = data.draw(_zero_led())
+    b = data.draw(_zero_led(min_order=len(a) - 1, max_order=len(a) - 1))
+    assert list((TruncatedSeries(a) * TruncatedSeries(b)).coeffs) == _naive_mul(a, b)
+
+
+@given(_nonzero_rationals.flatmap(lambda c0: _zero_led(head=(c0,))))
+def test_inverse_matches_schoolbook(f):
+    assert list(TruncatedSeries(f).inverse().coeffs) == _naive_inverse(f)
+
+
+@given(_zero_led(head=(Fraction(0),)))
+def test_exp_matches_schoolbook(f):
+    assert list(TruncatedSeries(f).exp().coeffs) == _naive_exp(f)
+
+
+@given(_zero_led(head=(Fraction(0),)))
+def test_log1p_matches_schoolbook(f):
+    assert list(TruncatedSeries(f).log1p().coeffs) == _naive_log1p(f)
+
+
+@given(_zero_led(head=(Fraction(1),)),
+       st.fractions(min_value=-9, max_value=9, max_denominator=12))
+def test_power_rational_matches_schoolbook(f, r):
+    assert list(TruncatedSeries(f).power_rational(r).coeffs) == (
+        _naive_power_rational(f, r)
+    )
+
+
+@given(_nonzero_rationals.flatmap(
+    lambda c1: _zero_led(head=(Fraction(0), c1), min_order=1)))
+def test_reversion_matches_schoolbook(f):
+    assert list(TruncatedSeries(f).reversion().coeffs) == _naive_reversion(f)
