@@ -30,6 +30,10 @@ FORMATS = ("plain", "csv", "json")
 
 SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 
+# every count in a table up to n = 1000 has at most 2568 digits (1000!),
+# below the 4300-digit limit on converting an int to decimal text
+COMB_MAX_N = 1000
+
 
 class _UsageError(Exception):
     """Invalid invocation detected after argparse; mapped to exit code 2."""
@@ -257,28 +261,45 @@ def _run_approx(args) -> int:
     return 0
 
 
+def _write_comb(handle, entries, fmt: str, kind: str) -> None:
+    """Write comb entries one at a time as the iterator yields them.
+
+    Head, line, separator and tail reproduce json.dumps(..., indent=2),
+    csv.writer and the plain lines of the whole table byte for byte,
+    without building the table or its text.
+    """
+    head, separator, tail = "", "\n", "\n"
+    if fmt == "json":
+        head, separator, tail = "[\n", ",\n", "\n]\n"
+        line = lambda e: (
+            f'  {{\n    "r": {e.r},\n    "n": {e.n},\n    "k": {e.k},\n'
+            f'    "value": "{e.value}"\n  }}'
+        )
+    elif fmt == "csv":
+        head = "r,n,k,value\n"
+        line = lambda e: f"{e.r},{e.n},{e.k},{e.value}"
+    else:
+        line = lambda e: f"{kind} r={e.r} n={e.n} k={e.k}: {e.value}"
+    handle.write(head)
+    lead = ""
+    for entry in entries:
+        handle.write(lead + line(entry))
+        lead = separator
+    handle.write(tail)
+
+
 def _run_comb(args) -> int:
+    if args.max_n > COMB_MAX_N:
+        raise _UsageError(f"--max-n must be <= {COMB_MAX_N}, got {args.max_n}")
     try:
-        rows = combinat.comb_table(args.r, args.max_n, args.kind)
+        entries = combinat.comb_table(args.r, args.max_n, args.kind)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.format == "json":
-        _emit(
-            json.dumps([r.to_json_dict() for r in rows], indent=2), args.output
-        )
-    elif args.format == "csv":
-        _emit(
-            _csv_text(
-                ["r", "n", "k", "value"],
-                [(r.r, r.n, r.k, r.value) for r in rows],
-            ),
-            args.output,
-        )
+    if args.output is None:
+        _write_comb(sys.stdout, entries, args.format, args.kind)
     else:
-        lines = [
-            f"{args.kind} r={r.r} n={r.n} k={r.k}: {r.value}" for r in rows
-        ]
-        _emit("\n".join(lines), args.output)
+        with open(args.output, "w", encoding="utf-8") as handle:
+            _write_comb(handle, entries, args.format, args.kind)
     return 0
 
 

@@ -6,16 +6,25 @@ n-set with k cycles of length at least r.  Both are computed by a
 two-term recurrence and independently by exponential generating series;
 enumerate_oracle counts the actual structures by brute force for small n
 so the other two routes can be checked against ground truth.
+
+The recurrence is one loop, _rows, that yields the triangle row by row:
+row n holds the counts for k = 0..n//r and is built from rows n-1 and
+n-r alone, so only the last r rows are kept.  comb_table streams these
+rows.  The single-value functions read them through a cache of the rows
+computed so far, one per (r, kind), cut at a column width that starts
+at the requested k and doubles when a later call needs a wider column;
+a cold call for (r, n, k) therefore costs O(n k) and never recurses.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from typing import Iterator
+from itertools import count, permutations, repeat
+from typing import Callable, Iterator
 
 from .series import TruncatedSeries, format_rational
 
@@ -45,15 +54,54 @@ def _validate(r: int, n: int, k: int) -> None:
         raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
 
 
-@lru_cache(maxsize=None)
-def _stirling2_assoc(r: int, n: int, k: int) -> int:
-    if n == 0 and k == 0:
-        return 1
-    if k == 0 or n < r * k:
+def _rows(r: int, kind: str, width: int | None = None) -> Iterator[list[int]]:
+    """Yield row n, the counts for k = 0..n//r, for n = 0, 1, 2, ...
+
+    The element n either lies in a block (cycle) of size exactly r, which
+    it shares with r-1 chosen companions (in one of (r-1)! cyclic orders
+    for cycles), or joins a larger block of a structure on n-1 elements:
+    k ways for partitions, after any of the other n-1 elements for
+    cycles.  So row n needs only rows n-1 and n-r, and only the last r
+    rows are kept.  Columns past width are cut.
+    """
+    cycles = kind == "derangement"
+    window: deque[list[int]] = deque([[1]], maxlen=r)
+    yield window[-1]
+    arrangements = 1
+    for n in count(1):
+        if cycles and n == r:
+            arrangements = math.factorial(r - 1)
+        top = n // r if width is None else min(n // r, width)
+        new_block = math.comb(n - 1, r - 1) * arrangements
+        weights = repeat(n - 1) if cycles else count(1)
+        # row n-1 lacks column top when top has just grown
+        previous = window[-1]
+        stay = previous[1 : top + 1] + [0] * (top + 1 - len(previous))
+        row = [0] + [
+            new_block * shorter + weight * longer
+            for shorter, longer, weight in zip(window[0], stay, weights)
+        ]
+        window.append(row)
+        yield row
+
+
+# (r, kind) -> (width, rows computed so far, the generator that extends them)
+_row_cache: dict[tuple[int, str], tuple[int, list[list[int]], Iterator[list[int]]]] = {}
+
+
+def _assoc(r: int, n: int, k: int, kind: str) -> int:
+    _validate(r, n, k)
+    if n < r * k:
         return 0
-    return k * _stirling2_assoc(r, n - 1, k) + math.comb(
-        n - 1, r - 1
-    ) * _stirling2_assoc(r, n - r, k - 1)
+    entry = _row_cache.get((r, kind))
+    if entry is None or entry[0] < k:
+        # a wider column restarts the rows; doubling keeps restarts rare
+        width = k if entry is None else max(k, 2 * entry[0])
+        entry = _row_cache[r, kind] = (width, [], _rows(r, kind, width))
+    _, rows, source = entry
+    while len(rows) <= n:
+        rows.append(next(source))
+    return rows[n][k]
 
 
 def stirling2_assoc(r: int, n: int, k: int) -> int:
@@ -63,19 +111,7 @@ def stirling2_assoc(r: int, n: int, k: int) -> int:
     (choose its r-1 companions) or in a larger block (append it to any
     block of a valid partition of n-1 elements).
     """
-    _validate(r, n, k)
-    return _stirling2_assoc(r, n, k)
-
-
-@lru_cache(maxsize=None)
-def _derangement_assoc(r: int, n: int, k: int) -> int:
-    if n == 0 and k == 0:
-        return 1
-    if k == 0 or n < r * k:
-        return 0
-    return (n - 1) * _derangement_assoc(r, n - 1, k) + math.comb(
-        n - 1, r - 1
-    ) * math.factorial(r - 1) * _derangement_assoc(r, n - r, k - 1)
+    return _assoc(r, n, k, "partition")
 
 
 def derangement_assoc(r: int, n: int, k: int) -> int:
@@ -85,12 +121,27 @@ def derangement_assoc(r: int, n: int, k: int) -> int:
     (choose companions, then one of (r-1)! cyclic arrangements) or on a
     longer cycle (splice it in after any of the other n-1 elements).
     """
-    _validate(r, n, k)
-    return _derangement_assoc(r, n, k)
+    return _assoc(r, n, k, "derangement")
 
 
-def _series_head(coeffs: list[Fraction], order: int) -> TruncatedSeries:
-    return TruncatedSeries(coeffs, order=order)
+def _count_from_series(
+    symbol: str, r: int, l: int, j: int, order: int,
+    full: Callable[[int], TruncatedSeries], head_term: Callable[[int], Fraction],
+) -> int:
+    """l! * [x^l] of (full - sum_{i<r} head_term(i) x^i)^j / j!, an integer."""
+    _validate(r, l, j)
+    if l > order:
+        raise ValueError(f"extraction index {l} exceeds series order {order}")
+    head = TruncatedSeries(
+        [head_term(i) for i in range(min(r, order + 1))], order=order
+    )
+    base = full(order) - head
+    value = (base**j / math.factorial(j)).egf_coefficient(l)
+    if value.denominator != 1:
+        raise ArithmeticError(
+            f"series extraction of {symbol}_{r}({l}, {j}) is not an integer: {value}"
+        )
+    return int(value)
 
 
 def stirling2_from_series(r: int, l: int, j: int, order: int) -> int:
@@ -98,20 +149,11 @@ def stirling2_from_series(r: int, l: int, j: int, order: int) -> int:
 
     Independent generating-series route to stirling2_assoc(r, l, j).
     """
-    _validate(r, l, j)
-    if l > order:
-        raise ValueError(f"extraction index {l} exceeds series order {order}")
-    full = TruncatedSeries.x(max(order, 1)).exp().truncate(order)
-    head = _series_head(
-        [Fraction(1, math.factorial(i)) for i in range(min(r, order + 1))], order
+    return _count_from_series(
+        "S", r, l, j, order,
+        lambda order: TruncatedSeries.x(max(order, 1)).exp().truncate(order),
+        lambda i: Fraction(1, math.factorial(i)),
     )
-    base = full - head
-    value = (base**j / math.factorial(j)).egf_coefficient(l)
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"series extraction of S_{r}({l}, {j}) is not an integer: {value}"
-        )
-    return int(value)
 
 
 def derangement_from_series(r: int, l: int, j: int, order: int) -> int:
@@ -119,21 +161,11 @@ def derangement_from_series(r: int, l: int, j: int, order: int) -> int:
 
     Independent generating-series route to derangement_assoc(r, l, j).
     """
-    _validate(r, l, j)
-    if l > order:
-        raise ValueError(f"extraction index {l} exceeds series order {order}")
-    x = TruncatedSeries.x(max(order, 1)).truncate(order)
-    full = -((-x).log1p())  # -log(1-x)
-    head = _series_head(
-        [Fraction(0)] + [Fraction(1, i) for i in range(1, min(r, order + 1))], order
+    return _count_from_series(
+        "D", r, l, j, order,
+        lambda order: -((-TruncatedSeries.x(max(order, 1)).truncate(order)).log1p()),
+        lambda i: Fraction(1, i) if i else Fraction(0),
     )
-    base = full - head
-    value = (base**j / math.factorial(j)).egf_coefficient(l)
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"series extraction of D_{r}({l}, {j}) is not an integer: {value}"
-        )
-    return int(value)
 
 
 def _set_partitions(n: int) -> Iterator[list[list[int]]]:
@@ -235,14 +267,17 @@ class CombInstance:
         return {"r": self.r, "n": self.n, "k": self.k, "value": str(self.value)}
 
 
-def comb_table(r: int, max_n: int, kind: str) -> list[CombInstance]:
-    """All (r, n, k) entries with n <= max_n and k in the feasible range."""
+def comb_table(r: int, max_n: int, kind: str) -> Iterator[CombInstance]:
+    """All (r, n, k) entries with n <= max_n and k in the feasible range.
+
+    The arguments are checked at once; the entries come in order of n,
+    then k, and are computed one row at a time as the iterator is read.
+    """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     _validate(r, max_n, 0)
-    count = stirling2_assoc if kind == "partition" else derangement_assoc
-    rows = []
-    for n in range(max_n + 1):
-        for k in range(n // r + 1):
-            rows.append(CombInstance(r, n, k, count(r, n, k)))
-    return rows
+    return (
+        CombInstance(r, n, k, value)
+        for n, row in zip(range(max_n + 1), _rows(r, kind))
+        for k, value in enumerate(row)
+    )

@@ -4,12 +4,14 @@ Every test drives ``cli.main`` directly with an argv list and inspects
 exit code, stdout, and stderr; nothing here shells out.
 """
 
+import csv
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
-from stirlingexp import cli, coefficients
+from stirlingexp import cli, coefficients, combinat
 from stirlingexp.coefficients import COEFF_METHODS
 from stirlingexp.identities import report_from_pairs
 from stirlingexp.series import TruncatedSeries, parse_rational
@@ -247,6 +249,58 @@ def test_comb_json_derangement_spot_values(capsys):
     rows = {(e["r"], e["n"], e["k"]): e["value"] for e in json.loads(out)}
     assert rows[(3, 6, 2)] == "40"
     assert rows[(3, 7, 2)] == "420"
+
+
+def _materialised_comb(r, max_n, kind, fmt):
+    rows = list(combinat.comb_table(r, max_n, kind))
+    if fmt == "json":
+        return json.dumps([row.to_json_dict() for row in rows], indent=2) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["r", "n", "k", "value"])
+        writer.writerows((row.r, row.n, row.k, row.value) for row in rows)
+        return buffer.getvalue()
+    return "".join(
+        f"{kind} r={row.r} n={row.n} k={row.k}: {row.value}\n" for row in rows
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_comb_streamed_output_matches_the_materialised_table(
+    capsys, tmp_path, r, kind, fmt
+):
+    target = tmp_path / "comb.txt"
+    for max_n in (0, 1, 5, 12):
+        argv = ["comb", "--r", str(r), "--max-n", str(max_n), "--kind", kind,
+                "--format", fmt]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out == _materialised_comb(r, max_n, kind, fmt), max_n
+        code, written, _ = run_cli(capsys, ["--output", str(target)] + argv)
+        assert code == 0
+        assert written == ""
+        assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_comb_huge_cycle_length_has_only_empty_rows(capsys):
+    # (r-1)! is needed only once n reaches r, so it must never be evaluated here
+    code, out, _ = run_cli(
+        capsys,
+        ["comb", "--r", "1000000000", "--max-n", "5", "--kind", "derangement",
+         "--format", "csv"],
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [f"1000000000,{n},0,{int(n == 0)}" for n in range(6)]
+
+
+def test_comb_max_n_ceiling_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["comb", "--max-n", "1001"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1000" in err
 
 
 def test_comb_invalid_block_size_is_usage_error(capsys):

@@ -1,10 +1,12 @@
 """Restricted partition/permutation counts against the brute-force oracle."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from stirlingexp import combinat
 from stirlingexp.combinat import (
     CombInstance,
     ENUMERATION_LIMIT,
@@ -163,7 +165,7 @@ def test_bernoulli_odd_indices_vanish():
 
 
 def test_comb_table_layout():
-    rows = comb_table(3, 6, "partition")
+    rows = list(comb_table(3, 6, "partition"))
     assert rows[0] == CombInstance(3, 0, 0, 1)
     assert CombInstance(3, 6, 2, 10) in rows
     assert all(row.value == 0 for row in rows if 0 < row.n < 3 * row.k)
@@ -173,3 +175,36 @@ def test_comb_table_layout():
         "k": 2,
         "value": "10",
     }
+
+
+@pytest.mark.parametrize(
+    "count,r,n,k,expected",
+    [
+        (stirling2_assoc, 1, 3000, 2, 2**2999 - 1),
+        (derangement_assoc, 1, 3000, 1, math.factorial(2999)),
+        (stirling2_assoc, 3, 3000, 5, None),
+    ],
+    ids=["S_1(3000,2)", "D_1(3000,1)", "S_3(3000,5)"],
+)
+def test_deep_cold_call_is_quick(count, r, n, k, expected, monkeypatch):
+    # a cold call walks n rows cut at column k: no recursion, O(n k) work
+    monkeypatch.setattr(combinat, "_row_cache", {})
+    start = time.perf_counter()
+    value = count(r, n, k)
+    assert time.perf_counter() - start < 1.0
+    assert value > 0
+    if expected is not None:
+        assert value == expected
+
+
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_cut_rows_match_the_full_table(kind, r, monkeypatch):
+    # single values come from rows cut at the requested column, restarted
+    # wider as k grows; the table comes from full rows
+    monkeypatch.setattr(combinat, "_row_cache", {})
+    count = stirling2_assoc if kind == "partition" else derangement_assoc
+    table = list(comb_table(r, 40, kind))
+    assert len(table) == sum(n // r + 1 for n in range(41))
+    for entry in table:
+        assert count(r, entry.n, entry.k) == entry.value, entry
