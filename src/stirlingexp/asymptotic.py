@@ -6,7 +6,11 @@ Three jobs, all on top of mpmath:
     integer n! and reports the relative and scaled error;
   * stirling_ratio_quadrature recovers the ratio
     sqrt(2 pi n) e^-n n^n / n!  by numeric integration of its Fourier
-    representation over [-pi sqrt(n), pi sqrt(n)];
+    representation over [-pi sqrt(n), pi sqrt(n)].  The integrand is
+    even, so only the half range [0, pi sqrt(n)] is evaluated, with half
+    the panels, and the result doubled; `panels` always counts panels on
+    the full range and must be even and at least 2 (ValueError
+    otherwise);
   * reciprocal_consistency checks, purely in rationals, that inverting
     the alternating form of the ratio series gives back the expansion
     coefficients.
@@ -147,8 +151,13 @@ def quadrature_integrand(n: int, theta: mpmath.mpf) -> mpmath.mpf:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    u = theta / mp.sqrt(n)
-    return mp.exp(n * (mp.cos(u) - 1)) * mp.cos(n * (mp.sin(u) - u))
+    return _integrand_at(n, theta / mp.sqrt(n))
+
+
+def _integrand_at(n: int, u: mpmath.mpf) -> mpmath.mpf:
+    """The integrand at u = theta/sqrt(n), with one cos_sin evaluation."""
+    cos_u, sin_u = mp.cos_sin(u)
+    return mp.exp(n * (cos_u - 1)) * mp.cos(n * (sin_u - u))
 
 
 @lru_cache(maxsize=None)
@@ -212,25 +221,39 @@ def stirling_ratio_quadrature(
 ) -> mpmath.mpf:
     """The ratio sqrt(2 pi n) e^-n n^n / n! by numeric integration.
 
-    Integrates the even real integrand over the full symmetric interval
-    and divides by sqrt(2 pi).  The panel count doubles until two
-    successive composite results agree to 2^-(precision_bits/2); failure
-    to settle, or a non-finite intermediate, raises ArithmeticError.
+    The integrand is even in theta, so the integral over the full
+    symmetric interval [-pi sqrt(n), pi sqrt(n)] is twice the one over
+    [0, pi sqrt(n)].  That half range is integrated in u = theta/sqrt(n),
+    over [0, pi], so sqrt(n) is taken once rather than once per point.
+    `panels` counts panels on the full range: it must be even and at
+    least 2 (otherwise ValueError), and the half range gets panels // 2
+    of them, which is the same composite rule because a panel edge falls
+    on 0 and the Gauss-Legendre nodes are symmetric.  The panel count
+    doubles until two successive full-range results agree to
+    2^-(precision_bits/2); failure to settle, or a non-finite
+    intermediate, raises ArithmeticError.  The result is the full-range
+    integral divided by sqrt(2 pi).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if panels < 2 or panels % 2:
+        raise ValueError(f"panels must be even and >= 2, got {panels}")
     _require_precision(precision_bits)
     tolerance = mpmath.mpf(2) ** -(precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        limit = mp.pi * mp.sqrt(n)
+        # twice the half range, taken back from u to theta
+        scale = 2 * mp.sqrt(n)
 
-        def f(theta):
-            return quadrature_integrand(n, theta)
+        def f(u):
+            return _integrand_at(n, u)
 
-        previous = composite_gauss(f, -limit, limit, panels)
+        def full_range(count):
+            return scale * composite_gauss(f, mp.mpf(0), mp.pi, count // 2)
+
+        previous = full_range(panels)
         while panels <= _MAX_PANELS:
             panels *= 2
-            current = composite_gauss(f, -limit, limit, panels)
+            current = full_range(panels)
             if not mpmath.isfinite(current):
                 raise ArithmeticError(
                     f"quadrature produced a non-finite value at n={n}"

@@ -30,9 +30,10 @@ FORMATS = ("plain", "csv", "json")
 
 SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 
-# every count in a table up to n = 1000 has at most 2568 digits (1000!),
-# below the 4300-digit limit on converting an int to decimal text
-COMB_MAX_N = 1000
+# ceiling on n for comb --max-n and approx --n: every comb count and n!
+# itself up to n = 1000 has at most 2568 digits (1000!), below the
+# 4300-digit limit on converting an int to decimal text
+DECIMAL_TEXT_MAX_N = 1000
 
 
 class _UsageError(Exception):
@@ -225,6 +226,8 @@ def _run_verify(args) -> int:
 
 
 def _run_approx(args) -> int:
+    if args.n > DECIMAL_TEXT_MAX_N:
+        raise _UsageError(f"--n must be <= {DECIMAL_TEXT_MAX_N}, got {args.n}")
     precision = (
         args.precision_bits
         if args.precision_bits is not None
@@ -289,8 +292,10 @@ def _write_comb(handle, entries, fmt: str, kind: str) -> None:
 
 
 def _run_comb(args) -> int:
-    if args.max_n > COMB_MAX_N:
-        raise _UsageError(f"--max-n must be <= {COMB_MAX_N}, got {args.max_n}")
+    if args.max_n > DECIMAL_TEXT_MAX_N:
+        raise _UsageError(
+            f"--max-n must be <= {DECIMAL_TEXT_MAX_N}, got {args.max_n}"
+        )
     try:
         entries = combinat.comb_table(args.r, args.max_n, args.kind)
     except ValueError as exc:

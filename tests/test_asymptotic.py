@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from stirlingexp import asymptotic
 from stirlingexp.asymptotic import (
     ApproxReport,
     approx_factorial,
@@ -58,6 +59,69 @@ def test_half_interval_doubled_equals_full():
         full = composite_gauss(f, -limit, limit, 32)
         half = composite_gauss(f, mp.mpf(0), limit, 32)
         assert abs(full - 2 * half) < mpmath.mpf(2) ** -110
+
+
+def test_integrand_matches_the_complex_form():
+    with mp.workprec(140):
+        for n in (1, 5, 12):
+            for t in ("0", "0.37", "-1.91", "2.6", "9.5"):
+                theta = mp.mpf(t)
+                u = theta / mp.sqrt(n)
+                expected = mp.re(mp.exp(n * (mp.expj(u) - 1 - 1j * u)))
+                got = quadrature_integrand(n, theta)
+                assert abs(got - expected) <= mpmath.mpf(2) ** -125, (n, t)
+
+
+@pytest.mark.parametrize(
+    "n, bits, full_panels",
+    [(1, 128, (8, 16)), (20, 128, (8, 16)), (30, 256, (8, 16, 32, 64))],
+)
+def test_quadrature_panel_sequence_on_the_half_range(
+    monkeypatch, n, bits, full_panels
+):
+    calls = []
+    original = asymptotic.composite_gauss
+
+    def recording(f, lo, hi, panels, points=20):
+        calls.append((lo, panels))
+        return original(f, lo, hi, panels, points)
+
+    monkeypatch.setattr(asymptotic, "composite_gauss", recording)
+    stirling_ratio_quadrature(n, bits)
+    assert all(lo == 0 for lo, _ in calls)
+    assert tuple(2 * panels for _, panels in calls) == full_panels
+
+
+@pytest.mark.parametrize("n, bits", [(1, 128), (7, 128), (20, 128), (30, 256)])
+def test_quadrature_within_the_convergence_tolerance(n, bits):
+    quad = stirling_ratio_quadrature(n, bits)
+    exact = stirling_ratio_exact(n, bits)
+    assert abs(quad - exact) <= mpmath.mpf(2) ** -(bits // 2)
+
+
+@pytest.mark.parametrize("panels", [3, 7, 9])
+def test_quadrature_rejects_odd_panels(panels):
+    with pytest.raises(ValueError, match="even"):
+        stirling_ratio_quadrature(5, 128, panels)
+
+
+@pytest.mark.parametrize("panels", [-2, 0, 1])
+def test_quadrature_rejects_panels_below_two(panels):
+    with pytest.raises(ValueError, match=">= 2"):
+        stirling_ratio_quadrature(5, 128, panels)
+
+
+def test_quadrature_non_finite_integrand_raises(monkeypatch):
+    monkeypatch.setattr(asymptotic, "_integrand_at", lambda n, u: mp.nan)
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        stirling_ratio_quadrature(5, 128)
+
+
+def test_quadrature_that_does_not_settle_raises(monkeypatch):
+    # n = 30 at 256 bits settles only at 64 full-range panels
+    monkeypatch.setattr(asymptotic, "_MAX_PANELS", 16)
+    with pytest.raises(ArithmeticError, match="failed to settle"):
+        stirling_ratio_quadrature(30, 256)
 
 
 def test_composite_gauss_rejects_zero_panels():

@@ -7,6 +7,7 @@ exit code, stdout, and stderr; nothing here shells out.
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,24 @@ def test_approx_rejects_n_zero(capsys):
     code, _, err = run_cli(capsys, ["approx", "--n", "0"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_approx_n_ceiling_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["approx", "--n", "1001"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1000" in err
+
+
+def test_approx_at_the_n_ceiling_prints_the_exact_factorial(capsys):
+    code, out, err = run_cli(
+        capsys, ["approx", "--n", "1000", "--format", "json"]
+    )
+    assert code == 0
+    assert err == ""
+    exact = json.loads(out)["exact"]
+    assert len(exact) == 2568
+    assert int(exact) == math.factorial(1000)
 
 
 # ---------------------------------------------------------------------------
