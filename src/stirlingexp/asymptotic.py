@@ -225,19 +225,22 @@ def stirling_ratio_quadrature(
     symmetric interval [-pi sqrt(n), pi sqrt(n)] is twice the one over
     [0, pi sqrt(n)].  That half range is integrated in u = theta/sqrt(n),
     over [0, pi], so sqrt(n) is taken once rather than once per point.
-    `panels` counts panels on the full range: it must be even and at
-    least 2 (otherwise ValueError), and the half range gets panels // 2
-    of them, which is the same composite rule because a panel edge falls
-    on 0 and the Gauss-Legendre nodes are symmetric.  The panel count
-    doubles until two successive full-range results agree to
-    2^-(precision_bits/2); failure to settle, or a non-finite
-    intermediate, raises ArithmeticError.  The result is the full-range
-    integral divided by sqrt(2 pi).
+    `panels` counts panels on the full range: it must be even, at least
+    2 and at most _MAX_PANELS (otherwise ValueError), and the half range
+    gets panels // 2 of them, which is the same composite rule because a
+    panel edge falls on 0 and the Gauss-Legendre nodes are symmetric.
+    The panel count doubles, never past _MAX_PANELS, until two
+    successive full-range results agree to 2^-(precision_bits/2);
+    failure to settle, or a non-finite intermediate, raises
+    ArithmeticError.  The result is the full-range integral divided by
+    sqrt(2 pi).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if panels < 2 or panels % 2:
         raise ValueError(f"panels must be even and >= 2, got {panels}")
+    if panels > _MAX_PANELS:
+        raise ValueError(f"panels must be <= {_MAX_PANELS}, got {panels}")
     _require_precision(precision_bits)
     tolerance = mpmath.mpf(2) ** -(precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD_BITS):
@@ -251,7 +254,7 @@ def stirling_ratio_quadrature(
             return scale * composite_gauss(f, mp.mpf(0), mp.pi, count // 2)
 
         previous = full_range(panels)
-        while panels <= _MAX_PANELS:
+        while 2 * panels <= _MAX_PANELS:
             panels *= 2
             current = full_range(panels)
             if not mpmath.isfinite(current):

@@ -13,12 +13,13 @@ for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 from . import asymptotic, combinat, coefficients, identities
 from .coefficients import COEFF_METHODS
@@ -113,16 +114,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+@contextlib.contextmanager
+def _data_out(output: str | None) -> Iterator[TextIO]:
+    """stdout, or the --output file opened for writing and closed after."""
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
     else:
         with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            yield handle
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _data_out(output) as handle:
+        handle.write(text)
+        if not text.endswith("\n"):
+            handle.write("\n")
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -300,11 +306,8 @@ def _run_comb(args) -> int:
         entries = combinat.comb_table(args.r, args.max_n, args.kind)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    if args.output is None:
-        _write_comb(sys.stdout, entries, args.format, args.kind)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            _write_comb(handle, entries, args.format, args.kind)
+    with _data_out(args.output) as handle:
+        _write_comb(handle, entries, args.format, args.kind)
     return 0
 
 

@@ -96,11 +96,6 @@ class CoeffTable:
             "values": [format_rational(v) for v in self.values],
         }
 
-    def to_csv_rows(self) -> list[tuple[int, str, str]]:
-        return [
-            (i, self.method, format_rational(v)) for i, v in enumerate(self.values)
-        ]
-
 
 def double_factorial_odd(m: int) -> int:
     """(m)!! for odd m >= -1, with (-1)!! == 1 by convention."""
@@ -137,34 +132,30 @@ def coeff_via_log_kernel(k: int) -> Fraction:
     return _via_kernel("log", k)
 
 
-def coeff_via_partition_sum(k: int) -> Fraction:
-    """a_k as an alternating sum over 3-restricted set-partition counts."""
-    _require_index(k)
+def _via_count_sum(count, k: int) -> Fraction:
+    # a_k = sum_{j=0}^{2k} (-1)^j count(3, 2(j+k), j) / (2^(j+k) (j+k)!)
     return sum(
         (
             Fraction(
-                (-1) ** j * combinat.stirling2_assoc(3, 2 * (j + k), j),
+                (-1) ** j * count(3, 2 * (j + k), j),
                 2 ** (j + k) * math.factorial(j + k),
             )
             for j in range(2 * k + 1)
         ),
         Fraction(0),
     )
+
+
+def coeff_via_partition_sum(k: int) -> Fraction:
+    """a_k as an alternating sum over 3-restricted set-partition counts."""
+    _require_index(k)
+    return _via_count_sum(combinat.stirling2_assoc, k)
 
 
 def coeff_via_derangement_sum(k: int) -> Fraction:
     """a_k as an alternating sum over 3-restricted permutation counts."""
     _require_index(k)
-    return sum(
-        (
-            Fraction(
-                (-1) ** j * combinat.derangement_assoc(3, 2 * (j + k), j),
-                2 ** (j + k) * math.factorial(j + k),
-            )
-            for j in range(2 * k + 1)
-        ),
-        Fraction(0),
-    )
+    return _via_count_sum(combinat.derangement_assoc, k)
 
 
 def _bernoulli_exponent(order: int) -> TruncatedSeries:
@@ -252,9 +243,18 @@ def inverse_egf_by_recurrence(
 ) -> CoeffTable:
     """Taylor coefficients of the compositional inverse by quadratic recurrence.
 
+    The x^k coefficient of the differential equations B'B = x - (x^2/2) B'
+    (exp side) and C'C = xC + x (log side) gives, for k >= 2,
+
+        (k+1) v[k] = s_k v[k-1] - sum_{j=1}^{k-2} w_kj v[j+1] v[k-j],
+
+    from v[0] = 0 and v[1] = 1, with weight w_kj = C(k, j) and shift term
+    s_k = k (1-k)/2 on the exp side or s_k = k on the log side.
+
     scaled=True produces the sequence divided by the factorial of the
-    index (the ordinary coefficients of the inverse series), via the
-    recurrence rewritten for that normalization.
+    index (the ordinary coefficients of the inverse series).  That is the
+    same recurrence with v[i] -> v[i]/i!, which turns the weight into
+    j+1 and drops the factor k from the shift term.
     """
     if kind not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
@@ -262,31 +262,18 @@ def inverse_egf_by_recurrence(
         raise ValueError(f"index_max must be >= 1, got {index_max}")
     v = [Fraction(0), Fraction(1)]
     for k in range(2, index_max + 1):
-        if kind == "exp" and not scaled:
-            cross = sum(
-                (math.comb(k, j) * v[j + 1] * v[k - j] for j in range(1, k - 1)),
-                Fraction(0),
-            )
-            nxt = -(math.comb(k, 2) * v[k - 1] + cross) / (k + 1)
-        elif kind == "exp":
-            cross = sum(
-                ((j + 1) * v[j + 1] * v[k - j] for j in range(1, k - 1)),
-                Fraction(0),
-            )
-            nxt = -(Fraction(k - 1, 2) * v[k - 1] + cross) / (k + 1)
-        elif not scaled:
-            cross = sum(
-                (math.comb(k, j) * v[j + 1] * v[k - j] for j in range(1, k - 1)),
-                Fraction(0),
-            )
-            nxt = (k * v[k - 1] - cross) / (k + 1)
+        # weights for j = 1 .. k-2, built once per k
+        shift = Fraction(1 - k, 2) if kind == "exp" else 1
+        if scaled:
+            weights = range(2, k)
         else:
-            cross = sum(
-                ((j + 1) * v[j + 1] * v[k - j] for j in range(1, k - 1)),
-                Fraction(0),
-            )
-            nxt = (v[k - 1] - cross) / (k + 1)
-        v.append(nxt)
+            weights = [math.comb(k, j) for j in range(1, k - 1)]
+            shift *= k
+        cross = sum(
+            (w * v[j + 1] * v[k - j] for j, w in enumerate(weights, 1)),
+            Fraction(0),
+        )
+        v.append((shift * v[k - 1] - cross) / (k + 1))
     suffix = "-scaled" if scaled else ""
     return CoeffTable(method=f"recurrence-{kind}{suffix}", values=tuple(v))
 
@@ -333,8 +320,11 @@ class CrossCheck:
 
     index_max: int
     tables: tuple[CoeffTable, ...]
-    agreed: bool
     mismatches: tuple[int, ...]
+
+    @property
+    def agreed(self) -> bool:
+        return not self.mismatches
 
     def to_json_dict(self) -> dict:
         return {
@@ -354,9 +344,4 @@ def verify_all(index_max: int) -> CrossCheck:
         for k in range(index_max + 1)
         if len({t[k] for t in tables}) != 1
     )
-    return CrossCheck(
-        index_max=index_max,
-        tables=tables,
-        agreed=not mismatches,
-        mismatches=mismatches,
-    )
+    return CrossCheck(index_max=index_max, tables=tables, mismatches=mismatches)

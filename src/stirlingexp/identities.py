@@ -1,19 +1,22 @@
 """Mechanical verification of the identities tying the pieces together.
 
-Each check returns an IdentityReport: which indices were tested, which
-held, and a left/right witness pair for every failure.  Checks never
-assert; deciding what a failure means is left to the caller (the CLI
-maps any failure to a nonzero exit code).
+Each check returns an IdentityReport: the contiguous index range lo..hi
+it covered and a left/right witness pair for every index at which the
+two sides differ; an empty witness list means the identity held over the
+whole range.  Checks that compare coefficient routes call those routes
+rather than restating them.  Checks never assert; deciding what a
+failure means is left to the caller (the CLI maps any failure to a
+nonzero exit code).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import combinat
 from .coefficients import (
+    coeff_via_derangement_sum,
     coeff_via_exp_kernel,
     coeff_via_partition_sum,
     inverse_series,
@@ -42,7 +45,6 @@ class IdentityReport:
     identity: str
     lo: int
     hi: int
-    holds: dict[int, bool]
     failures: tuple[tuple[int, Fraction, Fraction], ...]
 
     @property
@@ -70,38 +72,24 @@ def report_from_pairs(
     """Build a report from (index, left, right) comparison pairs."""
     if not pairs:
         raise ValueError("identity check over an empty index range")
-    holds = {i: left == right for i, left, right in pairs}
     failures = tuple(
         (i, left, right) for i, left, right in pairs if left != right
     )
     lo = min(i for i, _, _ in pairs)
     hi = max(i for i, _, _ in pairs)
-    return IdentityReport(identity=identity, lo=lo, hi=hi, holds=holds, failures=failures)
+    return IdentityReport(identity=identity, lo=lo, hi=hi, failures=failures)
 
 
 def check_sum_identity(k: int) -> IdentityReport:
     """The partition-sum and derangement-sum routes to a_k agree.
 
-    Both alternating sums run over j = 0 .. 2k with the same weights
-    2^(j+k) (j+k)!, differing only in the combinatorial count inside.
+    Both routes are the one alternating sum over j = 0 .. 2k with the
+    same weights 2^(j+k) (j+k)!, differing only in the combinatorial
+    count inside; this compares what the two routes return.  k < 0
+    raises ValueError.
     """
-    if k < 0:
-        raise ValueError(f"index must be >= 0, got {k}")
-
-    def side(count) -> Fraction:
-        return sum(
-            (
-                Fraction(
-                    (-1) ** j * count(3, 2 * (j + k), j),
-                    2 ** (j + k) * math.factorial(j + k),
-                )
-                for j in range(2 * k + 1)
-            ),
-            Fraction(0),
-        )
-
-    left = side(combinat.stirling2_assoc)
-    right = side(combinat.derangement_assoc)
+    left = coeff_via_partition_sum(k)
+    right = coeff_via_derangement_sum(k)
     return report_from_pairs("sum-identity", [(k, left, right)])
 
 
@@ -113,23 +101,27 @@ def _odd_denominator(k: int, j: int) -> int:
     return value
 
 
-def generalized_partition_sum(k: int) -> Fraction:
-    """sum_j (-1)^j S(k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)), blocks >= 3.
-
-    Equals the k-th Taylor coefficient of the exp-side inverse series.
-    """
+def _generalized_sum(count, k: int) -> Fraction:
+    # sum_{j=0}^{k-1} (-1)^j count(3, k+2j-1, j) / ((k+1)(k+3)...(k+2j-1))
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
     return sum(
         (
             Fraction(
-                (-1) ** j * combinat.stirling2_assoc(3, k + 2 * j - 1, j),
-                _odd_denominator(k, j),
+                (-1) ** j * count(3, k + 2 * j - 1, j), _odd_denominator(k, j)
             )
             for j in range(k)
         ),
         Fraction(0),
     )
+
+
+def generalized_partition_sum(k: int) -> Fraction:
+    """sum_j (-1)^j S(k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)), blocks >= 3.
+
+    Equals the k-th Taylor coefficient of the exp-side inverse series.
+    """
+    return _generalized_sum(combinat.stirling2_assoc, k)
 
 
 def generalized_derangement_sum(k: int) -> Fraction:
@@ -137,18 +129,7 @@ def generalized_derangement_sum(k: int) -> Fraction:
 
     Equals the k-th Taylor coefficient of the log-side inverse series.
     """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    return sum(
-        (
-            Fraction(
-                (-1) ** (k + j - 1) * combinat.derangement_assoc(3, k + 2 * j - 1, j),
-                _odd_denominator(k, j),
-            )
-            for j in range(k)
-        ),
-        Fraction(0),
-    )
+    return (-1) ** (k - 1) * _generalized_sum(combinat.derangement_assoc, k)
 
 
 def check_generalized_sum_identity(k: int) -> IdentityReport:
@@ -234,8 +215,6 @@ def check_differential_equations(order: int) -> list[IdentityReport]:
 
 def check_derivative_vs_partition_sum(k: int) -> IdentityReport:
     """The kernel-derivative and partition-sum routes to a_k agree."""
-    if k < 0:
-        raise ValueError(f"index must be >= 0, got {k}")
     left = coeff_via_exp_kernel(k)
     right = coeff_via_partition_sum(k)
     return report_from_pairs("derivative-vs-partition-sum", [(k, left, right)])

@@ -119,9 +119,25 @@ def test_quadrature_non_finite_integrand_raises(monkeypatch):
 
 def test_quadrature_that_does_not_settle_raises(monkeypatch):
     # n = 30 at 256 bits settles only at 64 full-range panels
+    half_panels = []
+    original = asymptotic.composite_gauss
+
+    def recording(f, lo, hi, panels, points=20):
+        half_panels.append(panels)
+        return original(f, lo, hi, panels, points)
+
+    monkeypatch.setattr(asymptotic, "composite_gauss", recording)
     monkeypatch.setattr(asymptotic, "_MAX_PANELS", 16)
-    with pytest.raises(ArithmeticError, match="failed to settle"):
+    with pytest.raises(ArithmeticError, match="failed to settle within 16 panels"):
         stirling_ratio_quadrature(30, 256)
+    # 8 half-range panels are 16 full-range ones: nothing past the cap
+    assert max(half_panels) == 8
+
+
+def test_quadrature_rejects_panels_above_the_cap(monkeypatch):
+    monkeypatch.setattr(asymptotic, "_MAX_PANELS", 16)
+    with pytest.raises(ValueError, match="<= 16"):
+        stirling_ratio_quadrature(5, 128, 32)
 
 
 def test_composite_gauss_rejects_zero_panels():

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingexp import cli, coefficients, combinat
+from stirlingexp import cli, coefficients, combinat, identities
 from stirlingexp.coefficients import COEFF_METHODS
 from stirlingexp.identities import report_from_pairs
 from stirlingexp.series import TruncatedSeries, parse_rational
@@ -176,6 +176,43 @@ def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):
     assert code == 1
     assert "FAIL sum-identity" in out
     assert "identity failure detected" in err
+
+
+def test_corrupted_derangement_route_fails_both_checks_that_use_it(
+    capsys, monkeypatch
+):
+    """a_5 off by one in the derangement-sum route, wherever it is called."""
+    original = coefficients.coeff_via_derangement_sum
+
+    def corrupted(k):
+        return original(k) + (1 if k == 5 else 0)
+
+    monkeypatch.setattr(coefficients, "coeff_via_derangement_sum", corrupted)
+    monkeypatch.setattr(identities, "coeff_via_derangement_sum", corrupted)
+    monkeypatch.setitem(coefficients._METHOD_FUNCS, "derangement-sum", corrupted)
+
+    report = identities.check_sum_identity(5)
+    assert [i for i, _, _ in report.failures] == [5]
+
+    code, out, _ = run_cli(capsys, ["verify", "--max", "6", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    sum_failures = [
+        f["index"]
+        for r in payload["identities"]
+        if r["identity"] == "sum-identity"
+        for f in r["failures"]
+    ]
+    assert sum_failures == [5]
+    assert payload["cross_check"]["agreed"] is False
+    assert payload["cross_check"]["mismatches"] == [5]
+
+    code, out, _ = run_cli(capsys, ["verify", "--max", "6"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "FAIL sum-identity [5..5]" in lines
+    assert "FAIL coefficient-cross-check [0..6]" in lines
 
 
 # ---------------------------------------------------------------------------
