@@ -15,7 +15,6 @@ from .series import (
     parse_rational,
 )
 from .combinat import (
-    CombInstance,
     stirling2_assoc,
     derangement_assoc,
     stirling2_from_series,

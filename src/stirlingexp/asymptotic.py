@@ -93,18 +93,6 @@ class ApproxReport:
             "scaled_error": self._str(self.scaled_error),
         }
 
-    def to_csv_row(self) -> tuple:
-        d = self.to_json_dict()
-        return (
-            d["n"],
-            d["terms"],
-            d["precision_bits"],
-            d["approx"],
-            d["exact"],
-            d["rel_error"],
-            d["scaled_error"],
-        )
-
 
 def approx_factorial(
     n: int, terms: int, precision_bits: int = DEFAULT_PRECISION_BITS

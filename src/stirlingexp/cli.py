@@ -36,9 +36,23 @@ SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 # 4300-digit limit on converting an int to decimal text
 DECIMAL_TEXT_MAX_N = 1000
 
+# ceilings that keep one command within a budget of 10 s of wall time;
+# the cost grows about as K^5 (the order-2K+1 reversion for coeffs, the
+# order-K reversions for series and verify).  Measured at the ceiling on
+# a 2-vCPU machine, Python 3.11: coeffs --max 100 took 8.8 s, series
+# --which inv-exp --order 220 8.4 s, verify --max 90 8.9 s
+COEFFS_MAX_K = 100
+SERIES_MAX_ORDER = 220
+VERIFY_MAX_K = 90
+
 
 class _UsageError(Exception):
     """Invalid invocation detected after argparse; mapped to exit code 2."""
+
+
+def _check_ceiling(option: str, value: int, ceiling: int) -> None:
+    if value > ceiling:
+        raise _UsageError(f"{option} must be <= {ceiling}, got {value}")
 
 
 def _default_precision() -> int:
@@ -87,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the whole identity suite")
     p_verify.add_argument("--max", type=int, default=12, metavar="K")
-    p_verify.add_argument("--format", choices=FORMATS, default="plain")
+    p_verify.add_argument(
+        "--format", choices=("plain", "json"), default="plain"
+    )
 
     p_approx = sub.add_parser("approx", help="truncated-expansion report for n!")
     p_approx.add_argument("--n", type=int, required=True)
@@ -142,24 +158,22 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 def _run_coeffs(args) -> int:
     if args.max < 0:
         raise _UsageError("--max must be >= 0")
-    methods = list(COEFF_METHODS) if "all" in args.methods else args.methods
-    tables = [coefficients.coefficient_table(m, args.max) for m in methods]
-    agreement = [
-        len({t[k] for t in tables}) == 1 for k in range(args.max + 1)
-    ]
+    _check_ceiling("--max", args.max, COEFFS_MAX_K)
+    methods = COEFF_METHODS if "all" in args.methods else args.methods
+    cross = coefficients.verify_all(args.max, methods)
     if args.format == "json":
         payload = {
             "index_max": args.max,
-            "agreed": all(agreement),
-            "tables": [t.to_json_dict() for t in tables],
+            "agreed": cross.agreed,
+            "tables": [t.to_json_dict() for t in cross.tables],
         }
         _emit(json.dumps(payload, indent=2), args.output)
     elif args.format == "csv":
-        header = ["k"] + [t.method for t in tables] + ["agree"]
+        header = ["k"] + [t.method for t in cross.tables] + ["agree"]
         rows = [
             [k]
-            + [format_rational(t[k]) for t in tables]
-            + ["yes" if agreement[k] else "no"]
+            + [format_rational(t[k]) for t in cross.tables]
+            + ["no" if k in cross.mismatches else "yes"]
             for k in range(args.max + 1)
         ]
         _emit(_csv_text(header, rows), args.output)
@@ -167,12 +181,12 @@ def _run_coeffs(args) -> int:
         lines = []
         for k in range(args.max + 1):
             cells = ", ".join(
-                f"{t.method}={format_rational(t[k])}" for t in tables
+                f"{t.method}={format_rational(t[k])}" for t in cross.tables
             )
-            flag = "ok" if agreement[k] else "MISMATCH"
+            flag = "MISMATCH" if k in cross.mismatches else "ok"
             lines.append(f"a_{k}: {cells} [{flag}]")
         _emit("\n".join(lines), args.output)
-    return 0 if all(agreement) else 1
+    return 0 if cross.agreed else 1
 
 
 def _named_series(which: str, order: int) -> TruncatedSeries:
@@ -189,6 +203,7 @@ def _run_series(args) -> int:
     min_order = 1 if args.which.startswith("inv") else 0
     if args.order < min_order:
         raise _UsageError(f"--order must be >= {min_order} for {args.which}")
+    _check_ceiling("--order", args.order, SERIES_MAX_ORDER)
     series = _named_series(args.which, args.order)
     if args.format == "json":
         payload = {"which": args.which, **series.to_json_dict()}
@@ -204,6 +219,7 @@ def _run_series(args) -> int:
 def _run_verify(args) -> int:
     if args.max < 3:
         raise _UsageError("--max must be >= 3")
+    _check_ceiling("--max", args.max, VERIFY_MAX_K)
     reports = identities.run_all(args.max)
     reports.append(asymptotic.reciprocal_consistency(args.max))
     cross = coefficients.verify_all(args.max)
@@ -232,8 +248,7 @@ def _run_verify(args) -> int:
 
 
 def _run_approx(args) -> int:
-    if args.n > DECIMAL_TEXT_MAX_N:
-        raise _UsageError(f"--n must be <= {DECIMAL_TEXT_MAX_N}, got {args.n}")
+    _check_ceiling("--n", args.n, DECIMAL_TEXT_MAX_N)
     precision = (
         args.precision_bits
         if args.precision_bits is not None
@@ -243,21 +258,12 @@ def _run_approx(args) -> int:
         report = asymptotic.approx_factorial(args.n, args.terms, precision)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    d = report.to_json_dict()
     if args.format == "json":
-        _emit(json.dumps(report.to_json_dict(), indent=2), args.output)
+        _emit(json.dumps(d, indent=2), args.output)
     elif args.format == "csv":
-        header = [
-            "n",
-            "terms",
-            "precision_bits",
-            "approx",
-            "exact",
-            "rel_error",
-            "scaled_error",
-        ]
-        _emit(_csv_text(header, [report.to_csv_row()]), args.output)
+        _emit(_csv_text(list(d), [list(d.values())]), args.output)
     else:
-        d = report.to_json_dict()
         lines = [
             f"n = {d['n']}, terms = {d['terms']}, precision = "
             f"{d['precision_bits']} bits",
@@ -270,8 +276,8 @@ def _run_approx(args) -> int:
     return 0
 
 
-def _write_comb(handle, entries, fmt: str, kind: str) -> None:
-    """Write comb entries one at a time as the iterator yields them.
+def _write_comb(handle, r: int, rows, fmt: str, kind: str) -> None:
+    """Write the table's entries one at a time as the rows arrive.
 
     Head, line, separator and tail reproduce json.dumps(..., indent=2),
     csv.writer and the plain lines of the whole table byte for byte,
@@ -280,34 +286,32 @@ def _write_comb(handle, entries, fmt: str, kind: str) -> None:
     head, separator, tail = "", "\n", "\n"
     if fmt == "json":
         head, separator, tail = "[\n", ",\n", "\n]\n"
-        line = lambda e: (
-            f'  {{\n    "r": {e.r},\n    "n": {e.n},\n    "k": {e.k},\n'
-            f'    "value": "{e.value}"\n  }}'
+        line = lambda n, k, value: (
+            f'  {{\n    "r": {r},\n    "n": {n},\n    "k": {k},\n'
+            f'    "value": "{value}"\n  }}'
         )
     elif fmt == "csv":
         head = "r,n,k,value\n"
-        line = lambda e: f"{e.r},{e.n},{e.k},{e.value}"
+        line = lambda n, k, value: f"{r},{n},{k},{value}"
     else:
-        line = lambda e: f"{kind} r={e.r} n={e.n} k={e.k}: {e.value}"
+        line = lambda n, k, value: f"{kind} r={r} n={n} k={k}: {value}"
     handle.write(head)
     lead = ""
-    for entry in entries:
-        handle.write(lead + line(entry))
-        lead = separator
+    for n, row in enumerate(rows):
+        for k, value in enumerate(row):
+            handle.write(lead + line(n, k, value))
+            lead = separator
     handle.write(tail)
 
 
 def _run_comb(args) -> int:
-    if args.max_n > DECIMAL_TEXT_MAX_N:
-        raise _UsageError(
-            f"--max-n must be <= {DECIMAL_TEXT_MAX_N}, got {args.max_n}"
-        )
+    _check_ceiling("--max-n", args.max_n, DECIMAL_TEXT_MAX_N)
     try:
-        entries = combinat.comb_table(args.r, args.max_n, args.kind)
+        rows = combinat.comb_table(args.r, args.max_n, args.kind)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     with _data_out(args.output) as handle:
-        _write_comb(handle, entries, args.format, args.kind)
+        _write_comb(handle, args.r, rows, args.format, args.kind)
     return 0
 
 

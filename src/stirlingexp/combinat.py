@@ -20,16 +20,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, permutations, repeat
+from itertools import count, islice, permutations, repeat
 from typing import Callable, Iterator
 
-from .series import TruncatedSeries, format_rational
+from .series import TruncatedSeries
 
 __all__ = [
-    "CombInstance",
     "stirling2_assoc",
     "derangement_assoc",
     "stirling2_from_series",
@@ -254,30 +252,14 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
-@dataclass(frozen=True)
-class CombInstance:
-    """One table entry: the count for a given (r, n, k)."""
+def comb_table(r: int, max_n: int, kind: str) -> Iterator[list[int]]:
+    """Rows 0..max_n of the table: row n is the counts for k = 0..n//r.
 
-    r: int
-    n: int
-    k: int
-    value: int
-
-    def to_json_dict(self) -> dict:
-        return {"r": self.r, "n": self.n, "k": self.k, "value": str(self.value)}
-
-
-def comb_table(r: int, max_n: int, kind: str) -> Iterator[CombInstance]:
-    """All (r, n, k) entries with n <= max_n and k in the feasible range.
-
-    The arguments are checked at once; the entries come in order of n,
-    then k, and are computed one row at a time as the iterator is read.
+    The arguments are checked at once; each row is computed only when
+    the iterator reaches it.  Later rows are built from earlier ones, so
+    a row must not be modified.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     _validate(r, max_n, 0)
-    return (
-        CombInstance(r, n, k, value)
-        for n, row in zip(range(max_n + 1), _rows(r, kind))
-        for k, value in enumerate(row)
-    )
+    return islice(_rows(r, kind), max_n + 1)

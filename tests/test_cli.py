@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingexp import cli, coefficients, combinat, identities
+from stirlingexp import asymptotic, cli, coefficients, combinat, identities
 from stirlingexp.coefficients import COEFF_METHODS
 from stirlingexp.identities import report_from_pairs
 from stirlingexp.series import TruncatedSeries, parse_rational
@@ -73,6 +73,60 @@ def test_coeffs_negative_max_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["coeffs", "--max", "-1"])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_coeffs_mismatch_is_flagged_at_its_index_only(capsys, monkeypatch):
+    """a_3 off by one in the bernoulli route: only index 3 disagrees."""
+    original = coefficients.coeff_via_bernoulli
+
+    def corrupted(k):
+        return original(k) + (1 if k == 3 else 0)
+
+    monkeypatch.setitem(coefficients._METHOD_FUNCS, "bernoulli", corrupted)
+
+    code, out, _ = run_cli(capsys, ["coeffs", "--max", "5"])
+    assert code == 1
+    flagged = [line.split(":")[0] for line in out.splitlines()
+               if line.endswith("[MISMATCH]")]
+    assert flagged == ["a_3"]
+    assert sum(line.endswith("[ok]") for line in out.splitlines()) == 5
+
+    code, out, _ = run_cli(capsys, ["coeffs", "--max", "5", "--format", "csv"])
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["k"] for row in rows if row["agree"] == "no"] == ["3"]
+    assert [row["agree"] for row in rows].count("yes") == 5
+
+    code, out, _ = run_cli(capsys, ["coeffs", "--max", "5", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["agreed"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--max", str(cli.COEFFS_MAX_K + 1)],
+        ["coeffs", "--max", "1000000", "--methods", "bernoulli"],
+        ["series", "--which", "inv-exp", "--order", str(cli.SERIES_MAX_ORDER + 1)],
+        ["series", "--which", "exp-kernel", "--order", "1700"],
+        ["verify", "--max", str(cli.VERIFY_MAX_K + 1)],
+        ["verify", "--max", "1000000", "--format", "json"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
+)
+def test_size_above_the_ceiling_is_usage_error(capsys, monkeypatch, argv):
+    # rejected before any work: the larger sizes would otherwise run for
+    # hours or end in an int-to-str ValueError
+    def no_work(*args):
+        raise AssertionError("work started above the ceiling")
+
+    for module, name in [(coefficients, "verify_all"), (identities, "run_all"),
+                         (coefficients, "inverse_series"), (cli, "exp_kernel")]:
+        monkeypatch.setattr(module, name, no_work)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be <=" in err
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +269,108 @@ def test_corrupted_derangement_route_fails_both_checks_that_use_it(
     assert "FAIL coefficient-cross-check [0..6]" in lines
 
 
+def test_verify_rejects_csv_format(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--max", "6", "--format", "csv"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
+def _corrupt_route(name, check):
+    # the value at k = 5 off by one, through the name the check reads
+    def corrupt(monkeypatch):
+        original = getattr(identities, name)
+        monkeypatch.setattr(
+            identities, name, lambda k: original(k) + (1 if k == 5 else 0)
+        )
+        return [check(5)]
+
+    return corrupt
+
+
+def _corrupt_expansion_coefficients(monkeypatch):
+    # an even index: at an odd one the inverse moves by the same amount
+    original = asymptotic.expansion_coefficients
+
+    def corrupted(index_max):
+        coeffs = original(index_max)
+        coeffs[4] += 1
+        return coeffs
+
+    monkeypatch.setattr(asymptotic, "expansion_coefficients", corrupted)
+    return [asymptotic.reciprocal_consistency(6)]
+
+
+def _corrupt_inverse_series(target_kind, check):
+    # x^4 of one inverse series off by one
+    original = coefficients.inverse_series
+
+    def corrupted(kind, order):
+        series = original(kind, order)
+        if kind != target_kind:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[4] += 1
+        return TruncatedSeries(coeffs, order=series.order)
+
+    def corrupt(monkeypatch):
+        monkeypatch.setattr(identities, "inverse_series", corrupted)
+        reports = check(6)
+        return reports if isinstance(reports, list) else [reports]
+
+    return corrupt
+
+
+# (identity, corruption returning the reports of the check, witness index);
+# the implicit equations first see a change at x^4 of the inverse series
+# at x^5, the differential equations and the difference at x^4
+MUTATIONS = [
+    ("sum-identity-general",
+     _corrupt_route("generalized_partition_sum",
+                    identities.check_generalized_sum_identity), 5),
+    ("derivative-vs-partition-sum",
+     _corrupt_route("coeff_via_exp_kernel",
+                    identities.check_derivative_vs_partition_sum), 5),
+    ("reciprocal-consistency", _corrupt_expansion_coefficients, 4),
+    ("inverse-difference",
+     _corrupt_inverse_series("log", identities.check_inverse_difference), 4),
+    ("implicit-exp",
+     _corrupt_inverse_series("exp", identities.check_implicit_equations), 5),
+    ("implicit-exp-log",
+     _corrupt_inverse_series("exp", identities.check_implicit_equations), 5),
+    ("implicit-log",
+     _corrupt_inverse_series("log", identities.check_implicit_equations), 5),
+    ("diffeq-exp",
+     _corrupt_inverse_series("exp", identities.check_differential_equations), 4),
+    ("diffeq-log",
+     _corrupt_inverse_series("log", identities.check_differential_equations), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "identity,corrupt,witness", MUTATIONS, ids=[m[0] for m in MUTATIONS]
+)
+def test_each_check_fails_on_a_corrupted_value(
+    capsys, monkeypatch, identity, corrupt, witness
+):
+    (report,) = [r for r in corrupt(monkeypatch) if r.identity == identity]
+    assert report.failures[0][0] == witness
+
+    code, out, _ = run_cli(capsys, ["verify", "--max", "6", "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    indices = [
+        f["index"]
+        for r in payload["identities"]
+        if r["identity"] == identity
+        for f in r["failures"]
+    ]
+    assert indices[:1] == [witness]
+
+
 # ---------------------------------------------------------------------------
 # approx
 
@@ -308,17 +464,25 @@ def test_comb_json_derangement_spot_values(capsys):
 
 
 def _materialised_comb(r, max_n, kind, fmt):
-    rows = list(combinat.comb_table(r, max_n, kind))
+    entries = [
+        (r, n, k, value)
+        for n, row in enumerate(combinat.comb_table(r, max_n, kind))
+        for k, value in enumerate(row)
+    ]
     if fmt == "json":
-        return json.dumps([row.to_json_dict() for row in rows], indent=2) + "\n"
+        dicts = [
+            {"r": r, "n": n, "k": k, "value": str(value)}
+            for r, n, k, value in entries
+        ]
+        return json.dumps(dicts, indent=2) + "\n"
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["r", "n", "k", "value"])
-        writer.writerows((row.r, row.n, row.k, row.value) for row in rows)
+        writer.writerows(entries)
         return buffer.getvalue()
     return "".join(
-        f"{kind} r={row.r} n={row.n} k={row.k}: {row.value}\n" for row in rows
+        f"{kind} r={r} n={n} k={k}: {value}\n" for r, n, k, value in entries
     )
 
 

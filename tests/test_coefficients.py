@@ -2,8 +2,10 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlingexp.coefficients import (
     COEFF_METHODS,
@@ -213,3 +215,33 @@ def test_verify_all_reports_agreement():
 def test_first_coefficient_is_one_for_every_method():
     for method in COEFF_METHODS:
         assert coefficient_table(method, 0)[0] == 1
+
+
+# the six routes to a_k, each computing a_k alone
+ROUTES = {
+    "exp-kernel": coeff_via_exp_kernel,
+    "log-kernel": coeff_via_log_kernel,
+    "partition-sum": coeff_via_partition_sum,
+    "derangement-sum": coeff_via_derangement_sum,
+    "bernoulli": coeff_via_bernoulli,
+    "inverse-table": lambda k: coefficient_table("inverse-table", k)[k],
+}
+ROUTE_PAIRS = st.sampled_from(list(combinations(COEFF_METHODS, 2)))
+
+
+def _routes_agree(k, pair):
+    first, second = pair
+    assert ROUTES[first](k) == ROUTES[second](k), (k, pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=24), ROUTE_PAIRS)
+def test_two_random_routes_agree_exactly(k, pair):
+    _routes_agree(k, pair)
+
+
+@pytest.mark.slow
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=25, max_value=100), ROUTE_PAIRS)
+def test_two_random_routes_agree_exactly_at_larger_k(k, pair):
+    _routes_agree(k, pair)

@@ -8,7 +8,6 @@ import pytest
 
 from stirlingexp import combinat
 from stirlingexp.combinat import (
-    CombInstance,
     ENUMERATION_LIMIT,
     bernoulli,
     comb_table,
@@ -166,15 +165,15 @@ def test_bernoulli_odd_indices_vanish():
 
 def test_comb_table_layout():
     rows = list(comb_table(3, 6, "partition"))
-    assert rows[0] == CombInstance(3, 0, 0, 1)
-    assert CombInstance(3, 6, 2, 10) in rows
-    assert all(row.value == 0 for row in rows if 0 < row.n < 3 * row.k)
-    assert CombInstance(3, 6, 2, 10).to_json_dict() == {
-        "r": 3,
-        "n": 6,
-        "k": 2,
-        "value": "10",
-    }
+    assert [len(row) for row in rows] == [n // 3 + 1 for n in range(7)]
+    assert rows[0] == [1]
+    assert rows[6][2] == 10
+    assert all(
+        value == 0
+        for n, row in enumerate(rows)
+        for k, value in enumerate(row)
+        if 0 < n < 3 * k
+    )
 
 
 @pytest.mark.parametrize(
@@ -204,7 +203,8 @@ def test_cut_rows_match_the_full_table(kind, r, monkeypatch):
     # wider as k grows; the table comes from full rows
     monkeypatch.setattr(combinat, "_row_cache", {})
     count = stirling2_assoc if kind == "partition" else derangement_assoc
-    table = list(comb_table(r, 40, kind))
-    assert len(table) == sum(n // r + 1 for n in range(41))
-    for entry in table:
-        assert count(r, entry.n, entry.k) == entry.value, entry
+    rows = list(comb_table(r, 40, kind))
+    assert [len(row) for row in rows] == [n // r + 1 for n in range(41)]
+    for n, row in enumerate(rows):
+        for k, value in enumerate(row):
+            assert count(r, n, k) == value, (n, k)
