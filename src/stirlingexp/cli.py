@@ -31,11 +31,6 @@ FORMATS = ("plain", "csv", "json")
 
 SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 
-# ceiling on n for comb --max-n and approx --n: every comb count and n!
-# itself up to n = 1000 has at most 2568 digits (1000!), below the
-# 4300-digit limit on converting an int to decimal text
-DECIMAL_TEXT_MAX_N = 1000
-
 # ceilings that keep one command within a budget of 10 s of wall time;
 # the cost grows about as K^5 (the order-2K+1 reversion for coeffs, the
 # order-K reversions for series and verify).  Measured at the ceiling on
@@ -44,6 +39,26 @@ DECIMAL_TEXT_MAX_N = 1000
 COEFFS_MAX_K = 100
 SERIES_MAX_ORDER = 220
 VERIFY_MAX_K = 90
+
+# ceiling on comb --max-n, for output size and for the 10 s budget above:
+# the table has about n^2/(2r) counts of up to 2568 digits (1000!), and
+# comb --r 1 --max-n 1000 --format json wrote 442 MB in 3.4 s for
+# partitions and 518 MB in 3.6 s for derangements, output discarded.
+# The counts are Decimals, so the int-to-str digit limit does not apply
+COMB_MAX_N = 1000
+
+# ceiling on approx --n: the report prints n! as an int, and n! up to
+# n = 1000 has at most 2568 digits, below the 4300-digit limit on
+# converting an int to decimal text (approx --n 1000 took 0.16 s)
+APPROX_MAX_N = 1000
+
+# ceilings on approx --terms and the precision (--precision-bits or its
+# environment default), within the 10 s budget above even together:
+# approx --n 1000 --terms 600 took 4.3-4.7 s, --precision-bits 262144
+# 2.0 s, both at once 6.2-6.5 s (--terms 800 took 11.2 s,
+# --precision-bits 1048576 24 s)
+APPROX_MAX_TERMS = 600
+APPROX_MAX_PRECISION_BITS = 262144
 
 
 class _UsageError(Exception):
@@ -248,12 +263,13 @@ def _run_verify(args) -> int:
 
 
 def _run_approx(args) -> int:
-    _check_ceiling("--n", args.n, DECIMAL_TEXT_MAX_N)
-    precision = (
-        args.precision_bits
-        if args.precision_bits is not None
-        else _default_precision()
-    )
+    _check_ceiling("--n", args.n, APPROX_MAX_N)
+    _check_ceiling("--terms", args.terms, APPROX_MAX_TERMS)
+    if args.precision_bits is None:
+        option, precision = PRECISION_ENV_VAR, _default_precision()
+    else:
+        option, precision = "--precision-bits", args.precision_bits
+    _check_ceiling(option, precision, APPROX_MAX_PRECISION_BITS)
     try:
         report = asymptotic.approx_factorial(args.n, args.terms, precision)
     except ValueError as exc:
@@ -305,7 +321,7 @@ def _write_comb(handle, r: int, rows, fmt: str, kind: str) -> None:
 
 
 def _run_comb(args) -> int:
-    _check_ceiling("--max-n", args.max_n, DECIMAL_TEXT_MAX_N)
+    _check_ceiling("--max-n", args.max_n, COMB_MAX_N)
     try:
         rows = combinat.comb_table(args.r, args.max_n, args.kind)
     except ValueError as exc:

@@ -9,17 +9,26 @@ so the other two routes can be checked against ground truth.
 
 The recurrence is one loop, _rows, that yields the triangle row by row:
 row n holds the counts for k = 0..n//r and is built from rows n-1 and
-n-r alone, so only the last r rows are kept.  comb_table streams these
-rows.  The single-value functions read them through a cache of the rows
-computed so far, one per (r, kind), cut at a column width that starts
-at the requested k and doubles when a later call needs a wider column;
-a cold call for (r, n, k) therefore costs O(n k) and never recurses.
+n-r alone, so only the last r rows are kept.  Its entries have the type
+of the "one" it starts from.
+
+comb_table runs it on decimal.Decimal under EXACT, a context in which
+any rounding raises, so every entry is the exact count: the rows are
+printed whole, and str() of a Decimal is linear in its length, where
+str() of an int is quadratic (CPython 3.11) and refused past 4300
+digits.  The single-value functions run it on int and return int: they
+read the rows through a cache of the rows computed so far, one per (r,
+kind), cut at a column width that starts at the requested k and doubles
+when a later call needs a wider column; a cold call for (r, n, k)
+therefore costs O(n k) and never recurses.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from collections import deque
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice, permutations, repeat
@@ -44,6 +53,15 @@ ENUMERATION_LIMIT = 9
 
 KINDS = ("partition", "derangement")
 
+# the context of comb_table's row arithmetic: unbounded digits and
+# exponents, and any inexact, overflowing or invalid step raises
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Overflow, decimal.InvalidOperation],
+)
+
 
 def _validate(r: int, n: int, k: int) -> None:
     if r < 1:
@@ -52,7 +70,9 @@ def _validate(r: int, n: int, k: int) -> None:
         raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
 
 
-def _rows(r: int, kind: str, width: int | None = None) -> Iterator[list[int]]:
+def _rows(
+    r: int, kind: str, width: int | None = None, one: int | Decimal = 1
+) -> Iterator[list[int | Decimal]]:
     """Yield row n, the counts for k = 0..n//r, for n = 0, 1, 2, ...
 
     The element n either lies in a block (cycle) of size exactly r, which
@@ -60,22 +80,24 @@ def _rows(r: int, kind: str, width: int | None = None) -> Iterator[list[int]]:
     for cycles), or joins a larger block of a structure on n-1 elements:
     k ways for partitions, after any of the other n-1 elements for
     cycles.  So row n needs only rows n-1 and n-r, and only the last r
-    rows are kept.  Columns past width are cut.
+    rows are kept.  Columns past width are cut.  Every entry has the
+    type of one: the counts are one times int weights, and sums of them.
     """
     cycles = kind == "derangement"
-    window: deque[list[int]] = deque([[1]], maxlen=r)
+    zero = one - one
+    window: deque[list[int | Decimal]] = deque([[one]], maxlen=r)
     yield window[-1]
     arrangements = 1
     for n in count(1):
         if cycles and n == r:
             arrangements = math.factorial(r - 1)
         top = n // r if width is None else min(n // r, width)
-        new_block = math.comb(n - 1, r - 1) * arrangements
+        new_block = one * (math.comb(n - 1, r - 1) * arrangements)
         weights = repeat(n - 1) if cycles else count(1)
         # row n-1 lacks column top when top has just grown
         previous = window[-1]
-        stay = previous[1 : top + 1] + [0] * (top + 1 - len(previous))
-        row = [0] + [
+        stay = previous[1 : top + 1] + [zero] * (top + 1 - len(previous))
+        row = [zero] + [
             new_block * shorter + weight * longer
             for shorter, longer, weight in zip(window[0], stay, weights)
         ]
@@ -252,14 +274,27 @@ def bernoulli(m: int) -> Fraction:
     return _bernoulli_cache[m]
 
 
-def comb_table(r: int, max_n: int, kind: str) -> Iterator[list[int]]:
+def _exactly(rows: Iterator[list[Decimal]]) -> Iterator[list[Decimal]]:
+    """Each of the rows, computed under EXACT.
+
+    The caller's context is back in place whenever a row is handed out.
+    """
+    while True:
+        with decimal.localcontext(EXACT):
+            row = next(rows)
+        yield row
+
+
+def comb_table(r: int, max_n: int, kind: str) -> Iterator[list[Decimal]]:
     """Rows 0..max_n of the table: row n is the counts for k = 0..n//r.
 
-    The arguments are checked at once; each row is computed only when
-    the iterator reaches it.  Later rows are built from earlier ones, so
-    a row must not be modified.
+    Each count is an exact Decimal integer (exponent 0), computed in the
+    EXACT context whatever the caller's context is; str() of it is the
+    count's decimal digits.  The arguments are checked at once; each row
+    is computed only when the iterator reaches it.  Later rows are built
+    from earlier ones, so a row must not be modified.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     _validate(r, max_n, 0)
-    return islice(_rows(r, kind), max_n + 1)
+    return islice(_exactly(_rows(r, kind, one=Decimal(1))), max_n + 1)

@@ -5,10 +5,13 @@ exit code, stdout, and stderr; nothing here shells out.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
+import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -111,6 +114,9 @@ def test_coeffs_mismatch_is_flagged_at_its_index_only(capsys, monkeypatch):
         ["series", "--which", "exp-kernel", "--order", "1700"],
         ["verify", "--max", str(cli.VERIFY_MAX_K + 1)],
         ["verify", "--max", "1000000", "--format", "json"],
+        ["approx", "--n", "20", "--terms", str(cli.APPROX_MAX_TERMS + 1)],
+        ["approx", "--n", "20", "--precision-bits",
+         str(cli.APPROX_MAX_PRECISION_BITS + 1)],
     ],
     ids=lambda argv: "-".join(argv[:1] + argv[-1:]),
 )
@@ -121,7 +127,8 @@ def test_size_above_the_ceiling_is_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("work started above the ceiling")
 
     for module, name in [(coefficients, "verify_all"), (identities, "run_all"),
-                         (coefficients, "inverse_series"), (cli, "exp_kernel")]:
+                         (coefficients, "inverse_series"), (cli, "exp_kernel"),
+                         (asymptotic, "approx_factorial")]:
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, argv)
     assert code == 2
@@ -413,6 +420,22 @@ def test_approx_bad_env_value_is_usage_error(capsys, monkeypatch):
     assert cli.PRECISION_ENV_VAR in err
 
 
+def test_approx_env_precision_above_the_ceiling_is_usage_error(
+    capsys, monkeypatch
+):
+    def no_work(*args):
+        raise AssertionError("work started above the ceiling")
+
+    monkeypatch.setattr(asymptotic, "approx_factorial", no_work)
+    monkeypatch.setenv(
+        cli.PRECISION_ENV_VAR, str(cli.APPROX_MAX_PRECISION_BITS + 1)
+    )
+    code, out, err = run_cli(capsys, ["approx", "--n", "5"])
+    assert code == 2
+    assert out == ""
+    assert cli.PRECISION_ENV_VAR in err and "must be <=" in err
+
+
 def test_approx_rejects_n_zero(capsys):
     code, _, err = run_cli(capsys, ["approx", "--n", "0"])
     assert code == 2
@@ -464,10 +487,15 @@ def test_comb_json_derangement_spot_values(capsys):
 
 
 def _materialised_comb(r, max_n, kind, fmt):
+    # from the int single-value counts, not from the Decimal rows under test
+    count = (
+        combinat.stirling2_assoc if kind == "partition"
+        else combinat.derangement_assoc
+    )
     entries = [
-        (r, n, k, value)
-        for n, row in enumerate(combinat.comb_table(r, max_n, kind))
-        for k, value in enumerate(row)
+        (r, n, k, count(r, n, k))
+        for n in range(max_n + 1)
+        for k in range(n // r + 1)
     ]
     if fmt == "json":
         dicts = [
@@ -503,6 +531,35 @@ def test_comb_streamed_output_matches_the_materialised_table(
         assert code == 0
         assert written == ""
         assert target.read_bytes() == out.encode("utf-8")
+
+
+class _Sha256Text:
+    """A text stream that keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+def test_comb_at_the_ceiling_matches_text_from_int_rows(monkeypatch, kind):
+    # r = 1 at the ceiling: about 500k counts, up to 2568 digits (1000!),
+    # still within the int-to-str limit, so int rows can be the reference
+    max_n = cli.COMB_MAX_N
+    argv = ["comb", "--r", "1", "--max-n", str(max_n), "--kind", kind,
+            "--format", "csv"]
+    printed = _Sha256Text()
+    monkeypatch.setattr(sys, "stdout", printed)
+    assert cli.main(argv) == 0
+    expected = _Sha256Text()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["r", "n", "k", "value"])
+    for n, row in enumerate(islice(combinat._rows(1, kind, one=1), max_n + 1)):
+        writer.writerows((1, n, k, value) for k, value in enumerate(row))
+    assert printed.digest.hexdigest() == expected.digest.hexdigest()
 
 
 def test_comb_huge_cycle_length_has_only_empty_rows(capsys):

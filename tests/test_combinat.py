@@ -1,8 +1,11 @@
 """Restricted partition/permutation counts against the brute-force oracle."""
 
+import decimal
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -208,3 +211,58 @@ def test_cut_rows_match_the_full_table(kind, r, monkeypatch):
     for n, row in enumerate(rows):
         for k, value in enumerate(row):
             assert count(r, n, k) == value, (n, k)
+
+
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_table_entries_are_exact_decimal_integers(kind, r):
+    count = stirling2_assoc if kind == "partition" else derangement_assoc
+    for n, row in enumerate(comb_table(r, 60, kind)):
+        for k, value in enumerate(row):
+            assert type(value) is Decimal, (n, k)
+            assert value.as_tuple().exponent == 0, (n, k)
+            assert value == count(r, n, k), (n, k)
+
+
+def _settings(context):
+    return (context.prec, context.rounding, context.Emin, context.Emax,
+            context.capitals, context.clamp, dict(context.traps),
+            dict(context.flags))
+
+
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+def test_table_is_exact_under_a_low_caller_precision(kind):
+    # the rows run in their own exact context; the caller's is not read,
+    # changed or left replaced, after a partial or a full iteration
+    count = stirling2_assoc if kind == "partition" else derangement_assoc
+    with decimal.localcontext() as caller:
+        caller.prec = 5
+        before = _settings(caller)
+        rows = comb_table(1, 40, kind)
+        head = list(islice(rows, 20))
+        assert decimal.getcontext() is caller
+        assert _settings(caller) == before
+        table = head + list(rows)
+        assert decimal.getcontext() is caller
+        assert _settings(caller) == before
+    assert len(table) == 41
+    for n, row in enumerate(table):
+        for k, value in enumerate(row):
+            assert value == count(1, n, k), (n, k)
+
+
+def test_single_values_stay_int():
+    with decimal.localcontext() as caller:
+        caller.prec = 5
+        assert type(stirling2_assoc(1, 40, 2)) is int
+        assert type(derangement_assoc(1, 40, 1)) is int
+        assert derangement_assoc(1, 40, 1) == math.factorial(39)
+
+
+def test_a_rounding_context_raises_instead_of_rounding(monkeypatch):
+    # the exactness check can fail: at 20 digits 39! (47 digits) is rounded
+    rounding = combinat.EXACT.copy()
+    rounding.prec = 20
+    monkeypatch.setattr(combinat, "EXACT", rounding)
+    with pytest.raises(decimal.Inexact):
+        list(comb_table(1, 40, "derangement"))
