@@ -5,6 +5,10 @@ has rational coefficients.  This package computes them by six
 independent exact methods, proves their agreement, verifies the
 combinatorial identities underlying them, and validates the expansion
 numerically at arbitrary precision.
+
+Only the numeric validation (the asymptotic module) needs mpmath, so it
+and its names are imported on first use (PEP 562) and the exact layers
+start without mpmath.
 """
 
 from .series import (
@@ -46,14 +50,34 @@ from .identities import (
     check_implicit_equations,
     check_differential_equations,
     check_derivative_vs_partition_sum,
-)
-from .asymptotic import (
-    ApproxReport,
-    approx_factorial,
-    stirling_ratio_quadrature,
-    stirling_ratio_exact,
-    expansion_vs_quadrature,
     reciprocal_consistency,
 )
 
 __version__ = "0.1.0"
+
+_NUMERIC = (
+    "ApproxReport",
+    "approx_factorial",
+    "stirling_ratio_quadrature",
+    "stirling_ratio_exact",
+    "expansion_vs_quadrature",
+)
+
+# the public names: those imported above, the submodules they come from,
+# and asymptotic with its numeric names, loaded or not
+__all__ = [name for name in globals() if not name.startswith("_")]
+__all__ += ["asymptotic", *_NUMERIC]
+
+
+def __getattr__(name: str):
+    # called only for a name not (yet) in the module namespace
+    if name == "asymptotic" or name in _NUMERIC:
+        import importlib
+
+        asymptotic = importlib.import_module(".asymptotic", __name__)
+        return asymptotic if name == "asymptotic" else getattr(asymptotic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,6 +1,7 @@
 """Numeric validation of the expansion at arbitrary binary precision.
 
-Three jobs, all on top of mpmath:
+Two jobs, both on top of mpmath (the package's only module that imports
+it):
 
   * approx_factorial evaluates the truncated expansion against the exact
     integer n! and reports the relative and scaled error;
@@ -10,10 +11,10 @@ Three jobs, all on top of mpmath:
     even, so only the half range [0, pi sqrt(n)] is evaluated, with half
     the panels, and the result doubled; `panels` always counts panels on
     the full range and must be even and at least 2 (ValueError
-    otherwise);
-  * reciprocal_consistency checks, purely in rationals, that inverting
-    the alternating form of the ratio series gives back the expansion
-    coefficients.
+    otherwise).
+
+reciprocal_consistency works purely in rationals; it is defined in
+identities and re-exported here.
 
 The expansion is divergent for fixed n, so truncation indices are always
 caller-supplied; nothing here auto-selects an order.
@@ -31,8 +32,8 @@ import mpmath
 from mpmath import mp
 
 from .coefficients import expansion_coefficients
-from .identities import IdentityReport, report_from_pairs
-from .series import TruncatedSeries
+from .identities import reciprocal_consistency
+from .series import DEFAULT_PRECISION_BITS
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -45,8 +46,6 @@ __all__ = [
     "expansion_vs_quadrature",
     "reciprocal_consistency",
 ]
-
-DEFAULT_PRECISION_BITS = 128
 
 # extra working bits so the final rounding to the requested precision is clean
 _GUARD_BITS = 24
@@ -300,20 +299,3 @@ def expansion_vs_quadrature(
         series_value = mp.mpf(tail.numerator) / mp.mpf(tail.denominator)
     return ratio, series_value
 
-
-def reciprocal_consistency(index_max: int) -> IdentityReport:
-    """Inverting the alternating ratio series returns the expansion series.
-
-    Exact in rationals: build sum_k (-1)^k a_k x^k, take its
-    multiplicative inverse as a truncated series, and compare
-    coefficient by coefficient with a_k.
-    """
-    if index_max < 1:
-        raise ValueError(f"index_max must be >= 1, got {index_max}")
-    coeffs = expansion_coefficients(index_max)
-    alternating = TruncatedSeries(
-        [(-1) ** k * a for k, a in enumerate(coeffs)], order=index_max
-    )
-    recovered = alternating.inverse()
-    pairs = [(k, recovered[k], coeffs[k]) for k in range(index_max + 1)]
-    return report_from_pairs("reciprocal-consistency", pairs)

@@ -21,9 +21,15 @@ import os
 import sys
 from typing import Iterator, Sequence, TextIO
 
-from . import asymptotic, combinat, coefficients, identities
+from . import combinat, coefficients, identities
 from .coefficients import COEFF_METHODS
-from .series import TruncatedSeries, exp_kernel, log_kernel, format_rational
+from .series import (
+    DEFAULT_PRECISION_BITS,
+    TruncatedSeries,
+    exp_kernel,
+    log_kernel,
+    format_rational,
+)
 
 PRECISION_ENV_VAR = "STIRLINGEXP_PRECISION_BITS"
 
@@ -73,7 +79,7 @@ def _check_ceiling(option: str, value: int, ceiling: int) -> None:
 def _default_precision() -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
-        return asymptotic.DEFAULT_PRECISION_BITS
+        return DEFAULT_PRECISION_BITS
     try:
         return int(raw)
     except ValueError:
@@ -128,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"binary precision (default {PRECISION_ENV_VAR} or "
-        f"{asymptotic.DEFAULT_PRECISION_BITS})",
+        f"{DEFAULT_PRECISION_BITS})",
     )
     p_approx.add_argument("--format", choices=FORMATS, default="plain")
 
@@ -147,12 +153,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _data_out(output: str | None) -> Iterator[TextIO]:
-    """stdout, or the --output file opened for writing and closed after."""
+    """stdout, or the --output file opened for writing and closed after.
+
+    A file that cannot be opened is a usage error (exit 2).
+    """
     if output is None:
         yield sys.stdout
-    else:
-        with open(output, "w", encoding="utf-8") as handle:
-            yield handle
+        return
+    try:
+        handle = open(output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot open --output: {exc}") from None
+    with handle:
+        yield handle
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -236,7 +249,7 @@ def _run_verify(args) -> int:
         raise _UsageError("--max must be >= 3")
     _check_ceiling("--max", args.max, VERIFY_MAX_K)
     reports = identities.run_all(args.max)
-    reports.append(asymptotic.reciprocal_consistency(args.max))
+    reports.append(identities.reciprocal_consistency(args.max))
     cross = coefficients.verify_all(args.max)
     ok = all(r.ok for r in reports) and cross.agreed
     if args.format == "json":
@@ -270,6 +283,9 @@ def _run_approx(args) -> int:
     else:
         option, precision = "--precision-bits", args.precision_bits
     _check_ceiling(option, precision, APPROX_MAX_PRECISION_BITS)
+    # the only command that needs mpmath, so the only one that loads it
+    from . import asymptotic
+
     try:
         report = asymptotic.approx_factorial(args.n, args.terms, precision)
     except ValueError as exc:

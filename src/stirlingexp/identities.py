@@ -7,6 +7,12 @@ whole range.  Checks that compare coefficient routes call those routes
 rather than restating them.  Checks never assert; deciding what a
 failure means is left to the caller (the CLI maps any failure to a
 nonzero exit code).
+
+The checks: the plain and generalized sum identities, the difference of
+the two inverse series, their implicit and differential equations, the
+kernel-derivative route against the partition sum, and the reciprocal
+check (inverting the alternating ratio series gives back the expansion).
+All of it is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .coefficients import (
     coeff_via_derangement_sum,
     coeff_via_exp_kernel,
     coeff_via_partition_sum,
+    expansion_coefficients,
     inverse_series,
 )
 from .series import TruncatedSeries, format_rational
@@ -34,6 +41,7 @@ __all__ = [
     "check_implicit_equations",
     "check_differential_equations",
     "check_derivative_vs_partition_sum",
+    "reciprocal_consistency",
     "run_all",
 ]
 
@@ -218,6 +226,23 @@ def check_derivative_vs_partition_sum(k: int) -> IdentityReport:
     left = coeff_via_exp_kernel(k)
     right = coeff_via_partition_sum(k)
     return report_from_pairs("derivative-vs-partition-sum", [(k, left, right)])
+
+
+def reciprocal_consistency(index_max: int) -> IdentityReport:
+    """Inverting the alternating ratio series returns the expansion series.
+
+    Build sum_k (-1)^k a_k x^k, take its multiplicative inverse as a
+    truncated series, and compare coefficient by coefficient with a_k.
+    """
+    if index_max < 1:
+        raise ValueError(f"index_max must be >= 1, got {index_max}")
+    coeffs = expansion_coefficients(index_max)
+    alternating = TruncatedSeries(
+        [(-1) ** k * a for k, a in enumerate(coeffs)], order=index_max
+    )
+    recovered = alternating.inverse()
+    pairs = [(k, recovered[k], coeffs[k]) for k in range(index_max + 1)]
+    return report_from_pairs("reciprocal-consistency", pairs)
 
 
 def run_all(max_index: int) -> list[IdentityReport]:

@@ -34,9 +34,14 @@ __all__ = [
     "as_fraction",
     "format_rational",
     "parse_rational",
+    "DEFAULT_PRECISION_BITS",
 ]
 
 Scalar = Union[int, Fraction]
+
+# default binary precision of the numeric validation in asymptotic; kept
+# here, away from mpmath, so that the CLI can show it without loading it
+DEFAULT_PRECISION_BITS = 128
 
 
 def as_fraction(value: Scalar) -> Fraction:

@@ -299,15 +299,15 @@ def _corrupt_route(name, check):
 
 def _corrupt_expansion_coefficients(monkeypatch):
     # an even index: at an odd one the inverse moves by the same amount
-    original = asymptotic.expansion_coefficients
+    original = identities.expansion_coefficients
 
     def corrupted(index_max):
         coeffs = original(index_max)
         coeffs[4] += 1
         return coeffs
 
-    monkeypatch.setattr(asymptotic, "expansion_coefficients", corrupted)
-    return [asymptotic.reciprocal_consistency(6)]
+    monkeypatch.setattr(identities, "expansion_coefficients", corrupted)
+    return [identities.reciprocal_consistency(6)]
 
 
 def _corrupt_inverse_series(target_kind, check):
@@ -612,3 +612,22 @@ def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
     assert out == ""
     _, direct, _ = run_cli(capsys, ["series", "--which", "inv-exp"])
     assert target.read_text(encoding="utf-8") == direct
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max", "3"],
+        ["comb", "--r", "3", "--max-n", "9"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
+    # exit 1 is kept for an identity failure
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, ["--output", str(target)] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot open --output:")
+    assert str(target) in err
+    assert not target.exists()

@@ -6,16 +6,41 @@ from pathlib import Path
 import stirlingexp
 
 
-def test_no_assert_statement_in_the_package():
-    # python -O strips assert, so it cannot serve as a runtime guard
+def _package_nodes():
+    """(file name, node) for every AST node of the package source."""
     paths = sorted(Path(stirlingexp.__file__).parent.rglob("*.py"))
     assert len(paths) >= 6
-    found = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_no_assert_statement_in_the_package():
+    # python -O strips assert, so it cannot serve as a runtime guard
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module]
+    return []
+
+
+def test_only_asymptotic_imports_mpmath():
+    # the exact layers must start without mpmath; only the numeric
+    # validation needs it
+    importers = {
+        name
+        for name, node in _package_nodes()
+        for module in _imported_modules(node)
+        if module.split(".")[0] == "mpmath"
+    }
+    assert importers == {"asymptotic.py"}
