@@ -33,7 +33,7 @@ from mpmath import mp
 
 from .coefficients import expansion_coefficients
 from .identities import reciprocal_consistency
-from .series import DEFAULT_PRECISION_BITS
+from .series import DEFAULT_PRECISION_BITS, _lift
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -60,6 +60,15 @@ def _decimal_digits(precision_bits: int) -> int:
 def _require_precision(precision_bits: int) -> None:
     if precision_bits < 64:
         raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
+
+
+def _sum_over_powers(coeffs: list[Fraction], x: int) -> Fraction:
+    """sum_k coeffs[k] / x^k, by Horner's rule on integer numerators."""
+    nums, den = _lift(coeffs)
+    total = 0
+    for num in nums:
+        total = total * x + num
+    return Fraction(total, den * x ** (len(nums) - 1))
 
 
 @dataclass(frozen=True)
@@ -108,9 +117,7 @@ def approx_factorial(
         raise ValueError(f"terms must be >= 0, got {terms}")
     _require_precision(precision_bits)
     coeffs = expansion_coefficients(terms)
-    tail = sum(
-        (a / Fraction(n**k) for k, a in enumerate(coeffs)), Fraction(0)
-    )
+    tail = _sum_over_powers(coeffs, n)
     exact = math.factorial(n)
     with mp.workprec(precision_bits + _GUARD_BITS):
         prefactor = mp.sqrt(2 * mp.pi * n) * mp.exp(-n) * mp.mpf(n) ** n
@@ -291,10 +298,7 @@ def expansion_vs_quadrature(
     _require_precision(precision_bits)
     ratio = stirling_ratio_quadrature(n, precision_bits)
     coeffs = expansion_coefficients(terms)
-    tail = sum(
-        ((-1) ** k * a / Fraction(n**k) for k, a in enumerate(coeffs)),
-        Fraction(0),
-    )
+    tail = _sum_over_powers(coeffs, -n)
     with mp.workprec(precision_bits):
         series_value = mp.mpf(tail.numerator) / mp.mpf(tail.denominator)
     return ratio, series_value

@@ -41,7 +41,10 @@ SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 # the cost grows about as K^5 (the order-2K+1 reversion for coeffs, the
 # order-K reversions for series and verify).  Measured at the ceiling on
 # a 2-vCPU machine, Python 3.11: coeffs --max 100 took 8.8 s, series
-# --which inv-exp --order 220 8.4 s, verify --max 90 8.9 s
+# --which inv-exp --order 220 8.4 s, verify --max 90 8.9 s.  Memoising
+# the routes and inverse series and summing in integers, timed back to
+# back on one pinned CPU of a slower-running 2-vCPU machine (medians of
+# three): verify --max 90 6.9 -> 4.5 s, coeffs --max 100 7.9 -> 7.1 s
 COEFFS_MAX_K = 100
 SERIES_MAX_ORDER = 220
 VERIFY_MAX_K = 90
@@ -155,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _data_out(output: str | None) -> Iterator[TextIO]:
     """stdout, or the --output file opened for writing and closed after.
 
-    A file that cannot be opened is a usage error (exit 2).
+    A file that cannot be opened is a usage error (exit 2).  A command
+    opens it after its usage checks and, unless a usage error can come
+    out of the work itself, before the work: an unopenable path then
+    fails at once, and a usage error never truncates an existing file.
     """
     if output is None:
         yield sys.stdout
@@ -168,11 +174,10 @@ def _data_out(output: str | None) -> Iterator[TextIO]:
         yield handle
 
 
-def _emit(text: str, output: str | None) -> None:
-    with _data_out(output) as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
+def _emit(text: str, handle: TextIO) -> None:
+    handle.write(text)
+    if not text.endswith("\n"):
+        handle.write("\n")
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -188,32 +193,33 @@ def _run_coeffs(args) -> int:
         raise _UsageError("--max must be >= 0")
     _check_ceiling("--max", args.max, COEFFS_MAX_K)
     methods = COEFF_METHODS if "all" in args.methods else args.methods
-    cross = coefficients.verify_all(args.max, methods)
-    if args.format == "json":
-        payload = {
-            "index_max": args.max,
-            "agreed": cross.agreed,
-            "tables": [t.to_json_dict() for t in cross.tables],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    elif args.format == "csv":
-        header = ["k"] + [t.method for t in cross.tables] + ["agree"]
-        rows = [
-            [k]
-            + [format_rational(t[k]) for t in cross.tables]
-            + ["no" if k in cross.mismatches else "yes"]
-            for k in range(args.max + 1)
-        ]
-        _emit(_csv_text(header, rows), args.output)
-    else:
-        lines = []
-        for k in range(args.max + 1):
-            cells = ", ".join(
-                f"{t.method}={format_rational(t[k])}" for t in cross.tables
-            )
-            flag = "MISMATCH" if k in cross.mismatches else "ok"
-            lines.append(f"a_{k}: {cells} [{flag}]")
-        _emit("\n".join(lines), args.output)
+    with _data_out(args.output) as out:
+        cross = coefficients.verify_all(args.max, methods)
+        if args.format == "json":
+            payload = {
+                "index_max": args.max,
+                "agreed": cross.agreed,
+                "tables": [t.to_json_dict() for t in cross.tables],
+            }
+            _emit(json.dumps(payload, indent=2), out)
+        elif args.format == "csv":
+            header = ["k"] + [t.method for t in cross.tables] + ["agree"]
+            rows = [
+                [k]
+                + [format_rational(t[k]) for t in cross.tables]
+                + ["no" if k in cross.mismatches else "yes"]
+                for k in range(args.max + 1)
+            ]
+            _emit(_csv_text(header, rows), out)
+        else:
+            lines = []
+            for k in range(args.max + 1):
+                cells = ", ".join(
+                    f"{t.method}={format_rational(t[k])}" for t in cross.tables
+                )
+                flag = "MISMATCH" if k in cross.mismatches else "ok"
+                lines.append(f"a_{k}: {cells} [{flag}]")
+            _emit("\n".join(lines), out)
     return 0 if cross.agreed else 1
 
 
@@ -232,15 +238,16 @@ def _run_series(args) -> int:
     if args.order < min_order:
         raise _UsageError(f"--order must be >= {min_order} for {args.which}")
     _check_ceiling("--order", args.order, SERIES_MAX_ORDER)
-    series = _named_series(args.which, args.order)
-    if args.format == "json":
-        payload = {"which": args.which, **series.to_json_dict()}
-        _emit(json.dumps(payload, indent=2), args.output)
-    elif args.format == "csv":
-        rows = [(i, format_rational(c)) for i, c in enumerate(series.coeffs)]
-        _emit(_csv_text(["power", "coeff"], rows), args.output)
-    else:
-        _emit(f"{args.which}(x) = {series}", args.output)
+    with _data_out(args.output) as out:
+        series = _named_series(args.which, args.order)
+        if args.format == "json":
+            payload = {"which": args.which, **series.to_json_dict()}
+            _emit(json.dumps(payload, indent=2), out)
+        elif args.format == "csv":
+            rows = [(i, format_rational(c)) for i, c in enumerate(series.coeffs)]
+            _emit(_csv_text(["power", "coeff"], rows), out)
+        else:
+            _emit(f"{args.which}(x) = {series}", out)
     return 0
 
 
@@ -248,27 +255,28 @@ def _run_verify(args) -> int:
     if args.max < 3:
         raise _UsageError("--max must be >= 3")
     _check_ceiling("--max", args.max, VERIFY_MAX_K)
-    reports = identities.run_all(args.max)
-    reports.append(identities.reciprocal_consistency(args.max))
-    cross = coefficients.verify_all(args.max)
-    ok = all(r.ok for r in reports) and cross.agreed
-    if args.format == "json":
-        payload = {
-            "ok": ok,
-            "identities": [r.to_json_dict() for r in reports],
-            "cross_check": cross.to_json_dict(),
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        lines = []
-        for r in reports:
-            status = "ok  " if r.ok else "FAIL"
-            lines.append(f"{status} {r.identity} [{r.lo}..{r.hi}]")
-        status = "ok  " if cross.agreed else "FAIL"
-        lines.append(
-            f"{status} coefficient-cross-check [0..{cross.index_max}]"
-        )
-        _emit("\n".join(lines), args.output)
+    with _data_out(args.output) as out:
+        reports = identities.run_all(args.max)
+        reports.append(identities.reciprocal_consistency(args.max))
+        cross = coefficients.verify_all(args.max)
+        ok = all(r.ok for r in reports) and cross.agreed
+        if args.format == "json":
+            payload = {
+                "ok": ok,
+                "identities": [r.to_json_dict() for r in reports],
+                "cross_check": cross.to_json_dict(),
+            }
+            _emit(json.dumps(payload, indent=2), out)
+        else:
+            lines = []
+            for r in reports:
+                status = "ok  " if r.ok else "FAIL"
+                lines.append(f"{status} {r.identity} [{r.lo}..{r.hi}]")
+            status = "ok  " if cross.agreed else "FAIL"
+            lines.append(
+                f"{status} coefficient-cross-check [0..{cross.index_max}]"
+            )
+            _emit("\n".join(lines), out)
     if not ok:
         print("identity failure detected", file=sys.stderr)
         return 1
@@ -291,20 +299,22 @@ def _run_approx(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     d = report.to_json_dict()
-    if args.format == "json":
-        _emit(json.dumps(d, indent=2), args.output)
-    elif args.format == "csv":
-        _emit(_csv_text(list(d), [list(d.values())]), args.output)
-    else:
-        lines = [
-            f"n = {d['n']}, terms = {d['terms']}, precision = "
-            f"{d['precision_bits']} bits",
-            f"approx       = {d['approx']}",
-            f"exact        = {d['exact']}",
-            f"rel_error    = {d['rel_error']}",
-            f"scaled_error = {d['scaled_error']}",
-        ]
-        _emit("\n".join(lines), args.output)
+    # opened after the work, out of which a usage error can come
+    with _data_out(args.output) as out:
+        if args.format == "json":
+            _emit(json.dumps(d, indent=2), out)
+        elif args.format == "csv":
+            _emit(_csv_text(list(d), [list(d.values())]), out)
+        else:
+            lines = [
+                f"n = {d['n']}, terms = {d['terms']}, precision = "
+                f"{d['precision_bits']} bits",
+                f"approx       = {d['approx']}",
+                f"exact        = {d['exact']}",
+                f"rel_error    = {d['rel_error']}",
+                f"scaled_error = {d['scaled_error']}",
+            ]
+            _emit("\n".join(lines), out)
     return 0
 
 

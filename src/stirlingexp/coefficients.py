@@ -15,6 +15,14 @@ genuinely different methods, all exact:
 
 Agreement across all of them is exposed as a first-class cross-check
 (verify_all), not just as a test.
+
+The five per-k routes and inverse_series are memoised per process
+(functools.cache, one entry per argument asked for; each function's
+cache_clear() empties it), so a run that reaches one a_k or one inverse
+series from several checks computes it once.  Each route has its own
+cache: no two routes share a value.  The sums and the recurrence add
+integer numerators over one common denominator and build one reduced
+Fraction per result, as the series kernels do.
 """
 
 from __future__ import annotations
@@ -22,10 +30,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from . import combinat
-from .series import TruncatedSeries, exp_kernel, log_kernel, format_rational
+from .series import (
+    TruncatedSeries,
+    _Running,
+    exp_kernel,
+    log_kernel,
+    format_rational,
+)
 
 __all__ = [
     "CoeffTable",
@@ -121,12 +136,14 @@ def _via_kernel(kind: str, k: int) -> Fraction:
     return power.egf_coefficient(order) / (2**k * math.factorial(k))
 
 
+@cache
 def coeff_via_exp_kernel(k: int) -> Fraction:
     """a_k from derivatives of the truncated-exp kernel."""
     _require_index(k)
     return _via_kernel("exp", k)
 
 
+@cache
 def coeff_via_log_kernel(k: int) -> Fraction:
     """a_k from derivatives of the truncated-log kernel."""
     _require_index(k)
@@ -134,25 +151,24 @@ def coeff_via_log_kernel(k: int) -> Fraction:
 
 
 def _via_count_sum(count, k: int) -> Fraction:
-    # a_k = sum_{j=0}^{2k} (-1)^j count(3, 2(j+k), j) / (2^(j+k) (j+k)!)
-    return sum(
-        (
-            Fraction(
-                (-1) ** j * count(3, 2 * (j + k), j),
-                2 ** (j + k) * math.factorial(j + k),
-            )
-            for j in range(2 * k + 1)
-        ),
-        Fraction(0),
-    )
+    # a_k = sum_{j=0}^{2k} (-1)^j count(3, 2(j+k), j) / (2^(j+k) (j+k)!),
+    # added as integers over 2^(3k) (3k)!, from j = 2k down: the factor
+    # that lifts term j is 2^(2k-j) (3k)!/(j+k)!
+    total, lift = 0, 1
+    for j in range(2 * k, -1, -1):
+        total += (-1) ** j * count(3, 2 * (j + k), j) * lift
+        lift *= 2 * (j + k)
+    return Fraction(total, 2 ** (3 * k) * math.factorial(3 * k))
 
 
+@cache
 def coeff_via_partition_sum(k: int) -> Fraction:
     """a_k as an alternating sum over 3-restricted set-partition counts."""
     _require_index(k)
     return _via_count_sum(combinat.stirling2_assoc, k)
 
 
+@cache
 def coeff_via_derangement_sum(k: int) -> Fraction:
     """a_k as an alternating sum over 3-restricted permutation counts."""
     _require_index(k)
@@ -167,6 +183,7 @@ def _bernoulli_exponent(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order=order)
 
 
+@cache
 def coeff_via_bernoulli(k: int) -> Fraction:
     """a_k from exponentiating the classical Bernoulli correction series.
 
@@ -186,7 +203,7 @@ def coeff_from_inverse_table(
 
     When the matching scaled table (entries divided by the factorial of
     their index) is supplied, the equivalent form (2k+1)!! * scaled[2k+1]
-    is asserted to agree before returning.
+    is computed too, and ArithmeticError is raised if the two differ.
     """
     _require_index(k)
     if table.index_max < 2 * k + 1:
@@ -204,6 +221,7 @@ def coeff_from_inverse_table(
     return value
 
 
+@cache
 def inverse_series(kind: str, order: int) -> TruncatedSeries:
     """Compositional inverse of x * sqrt(kernel), as a series.
 
@@ -261,7 +279,8 @@ def inverse_egf_by_recurrence(
         raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
     if index_max < 1:
         raise ValueError(f"index_max must be >= 1, got {index_max}")
-    v = [Fraction(0), Fraction(1)]
+    v = _Running(Fraction(0))
+    v.append(Fraction(1))
     for k in range(2, index_max + 1):
         # weights for j = 1 .. k-2, built once per k
         shift = Fraction(1 - k, 2) if kind == "exp" else 1
@@ -270,13 +289,17 @@ def inverse_egf_by_recurrence(
         else:
             weights = [math.comb(k, j) for j in range(1, k - 1)]
             shift *= k
+        # v[i] = nums[i] / den, so the cross sum is an int over den^2
+        nums, den = v.nums, v.den
         cross = sum(
-            (w * v[j + 1] * v[k - j] for j, w in enumerate(weights, 1)),
-            Fraction(0),
+            w * nums[j + 1] * nums[k - j] for j, w in enumerate(weights, 1)
         )
-        v.append((shift * v[k - 1] - cross) / (k + 1))
+        p, q = shift.numerator, shift.denominator
+        v.append(
+            Fraction(p * nums[k - 1] * den - q * cross, q * den * den * (k + 1))
+        )
     suffix = "-scaled" if scaled else ""
-    return CoeffTable(method=f"recurrence-{kind}{suffix}", values=tuple(v))
+    return CoeffTable(method=f"recurrence-{kind}{suffix}", values=tuple(v.values))
 
 
 def expansion_coefficients(index_max: int) -> list[Fraction]:

@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import count, islice, permutations, repeat
 from typing import Callable, Iterator
 
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _Running
 
 __all__ = [
     "stirling2_assoc",
@@ -253,25 +253,24 @@ def enumerate_oracle(r: int, n: int, k: int, kind: str) -> int:
     return tally[k] if k <= n else 0
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+# B_0, B_1, ... computed so far, as integers over one common denominator
+_bernoulli_cache = _Running(Fraction(1))
 
 
 def bernoulli(m: int) -> Fraction:
     """Bernoulli number B_m with the B_1 = -1/2 convention.
 
     Built from the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0
-    for m >= 1; values are cached.
+    for m >= 1, summed in integers; values are cached.
     """
     if m < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {m}")
-    while len(_bernoulli_cache) <= m:
-        i = len(_bernoulli_cache)
-        acc = sum(
-            (math.comb(i + 1, j) * _bernoulli_cache[j] for j in range(i)),
-            Fraction(0),
-        )
-        _bernoulli_cache.append(-acc / (i + 1))
-    return _bernoulli_cache[m]
+    known = _bernoulli_cache
+    while len(known.values) <= m:
+        i = len(known.values)
+        acc = sum(math.comb(i + 1, j) * b for j, b in enumerate(known.nums))
+        known.append(Fraction(-acc, known.den * (i + 1)))
+    return known.values[m]
 
 
 def _exactly(rows: Iterator[list[Decimal]]) -> Iterator[list[Decimal]]:

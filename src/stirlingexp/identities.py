@@ -101,27 +101,19 @@ def check_sum_identity(k: int) -> IdentityReport:
     return report_from_pairs("sum-identity", [(k, left, right)])
 
 
-def _odd_denominator(k: int, j: int) -> int:
-    # product (k+1)(k+3)...(k+2j-1); empty product is 1
-    value = 1
-    for t in range(j):
-        value *= k + 2 * t + 1
-    return value
-
-
 def _generalized_sum(count, k: int) -> Fraction:
-    # sum_{j=0}^{k-1} (-1)^j count(3, k+2j-1, j) / ((k+1)(k+3)...(k+2j-1))
+    # sum_{j=0}^{k-1} (-1)^j count(3, k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)),
+    # added as integers over (k+1)(k+3)...(3k-3), from j = k-1 down: the
+    # factor that lifts term j is (k+2j+1)(k+2j+3)...(3k-3), and after
+    # the last term it is the common denominator itself
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    return sum(
-        (
-            Fraction(
-                (-1) ** j * count(3, k + 2 * j - 1, j), _odd_denominator(k, j)
-            )
-            for j in range(k)
-        ),
-        Fraction(0),
-    )
+    total, lift = 0, 1
+    for j in range(k - 1, -1, -1):
+        total += (-1) ** j * count(3, k + 2 * j - 1, j) * lift
+        if j:
+            lift *= k + 2 * j - 1
+    return Fraction(total, lift)
 
 
 def generalized_partition_sum(k: int) -> Fraction:

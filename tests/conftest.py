@@ -1,0 +1,28 @@
+"""Shared fixtures for the whole suite."""
+
+import pytest
+
+from stirlingexp import coefficients
+
+# the memoised functions; bound here so that a test that patches a
+# module name still has the real cache cleared
+MEMOISED = (
+    coefficients.coeff_via_exp_kernel,
+    coefficients.coeff_via_log_kernel,
+    coefficients.coeff_via_partition_sum,
+    coefficients.coeff_via_derangement_sum,
+    coefficients.coeff_via_bernoulli,
+    coefficients.inverse_series,
+)
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Every test starts with the routes and inverse series uncomputed.
+
+    A test that patches what a route reads (combinat.stirling2_assoc,
+    say) then sees the route recomputed, not a value cached earlier.
+    """
+    for func in MEMOISED:
+        func.cache_clear()
+    yield

@@ -223,6 +223,33 @@ def test_verify_output_is_deterministic(capsys):
     assert first == second
 
 
+def test_verify_computes_each_route_and_inverse_series_once(
+    capsys, monkeypatch
+):
+    # on cold caches: one reversion per inverse series (exp and log at
+    # order 6, exp at 13 for the inverse table), and each a_k once per
+    # kernel route and once per count-sum route
+    calls = {"reversion": 0, "_via_kernel": 0, "_via_count_sum": 0}
+
+    def counting(name, func):
+        def counted(*args):
+            calls[name] += 1
+            return func(*args)
+        return counted
+
+    monkeypatch.setattr(
+        TruncatedSeries, "reversion",
+        counting("reversion", TruncatedSeries.reversion),
+    )
+    for name in ("_via_kernel", "_via_count_sum"):
+        monkeypatch.setattr(
+            coefficients, name, counting(name, getattr(coefficients, name))
+        )
+    code, _, _ = run_cli(capsys, ["verify", "--max", "6"])
+    assert code == 0
+    assert calls == {"reversion": 3, "_via_kernel": 2 * 7, "_via_count_sum": 2 * 7}
+
+
 def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):
     """A failing identity must surface as exit code 1, not an exception."""
     broken = report_from_pairs(
@@ -617,13 +644,22 @@ def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--max", "3"],
+        ["coeffs", "--max", "5"],
+        ["series", "--which", "inv-exp", "--order", "6"],
+        ["verify", "--max", "40"],
         ["comb", "--r", "3", "--max-n", "9"],
     ],
     ids=lambda argv: argv[0],
 )
-def test_unwritable_output_is_usage_error(capsys, tmp_path, argv):
-    # exit 1 is kept for an identity failure
+def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # exit 1 is kept for an identity failure; the path is opened before
+    # the work, so none of it runs
+    def no_work(*args):
+        raise AssertionError("work started before --output was opened")
+
+    for module, name in [(coefficients, "verify_all"), (identities, "run_all"),
+                         (coefficients, "inverse_series")]:
+        monkeypatch.setattr(module, name, no_work)
     target = tmp_path / "missing" / "x"
     code, out, err = run_cli(capsys, ["--output", str(target)] + argv)
     assert code == 2

@@ -70,6 +70,13 @@ def test_engines_agree_through_k8():
         assert len(values) == 1, (k, values)
 
 
+def test_sum_routes_match_bernoulli_through_k60():
+    for k in range(61):
+        expected = coeff_via_bernoulli(k)
+        assert coeff_via_partition_sum(k) == expected, k
+        assert coeff_via_derangement_sum(k) == expected, k
+
+
 def test_negative_index_rejected():
     for engine in ENGINES:
         with pytest.raises(ValueError):
@@ -111,9 +118,10 @@ def test_lagrange_matches_reversion():
 
 def test_recurrences_match_reversion():
     for kind in ("exp", "log"):
-        by_rev = inverse_egf_by_reversion(kind, 13)
-        by_rec = inverse_egf_by_recurrence(kind, 13)
-        assert by_rec.values == by_rev.values
+        by_rev = inverse_egf_by_reversion(kind, 60)
+        assert inverse_egf_by_recurrence(kind, 60).values == by_rev.values
+        scaled = inverse_egf_by_recurrence(kind, 60, scaled=True)
+        assert scaled.values == inverse_series(kind, 60).coeffs
 
 
 def test_scaled_recurrences_are_factorial_normalized():

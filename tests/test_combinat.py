@@ -148,8 +148,16 @@ def test_bernoulli_initial_segment():
         Fraction(5, 66),
         Fraction(0),
         Fraction(-691, 2730),
+        Fraction(0),
+        Fraction(7, 6),
+        Fraction(0),
+        Fraction(-3617, 510),
+        Fraction(0),
+        Fraction(43867, 798),
+        Fraction(0),
+        Fraction(-174611, 330),
     ]
-    assert [bernoulli(m) for m in range(13)] == expected
+    assert [bernoulli(m) for m in range(21)] == expected
 
 
 def test_bernoulli_defining_recurrence():

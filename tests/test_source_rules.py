@@ -44,3 +44,29 @@ def test_only_asymptotic_imports_mpmath():
         if module.split(".")[0] == "mpmath"
     }
     assert importers == {"asymptotic.py"}
+
+
+def _is_fraction_call(node):
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+    )
+
+
+def test_no_term_by_term_fraction_sum():
+    # sum(..., Fraction(0)) reduces every partial sum by a gcd; the sums
+    # add integer numerators over a common denominator instead
+    found = [
+        f"{name}:{node.lineno}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+        and any(
+            _is_fraction_call(start)
+            for start in node.args[1:]
+            + [kw.value for kw in node.keywords if kw.arg == "start"]
+        )
+    ]
+    assert found == []
