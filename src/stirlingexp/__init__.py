@@ -34,12 +34,10 @@ from .coefficients import (
     coeff_via_partition_sum,
     coeff_via_derangement_sum,
     coeff_via_bernoulli,
-    coeff_from_inverse_table,
     expansion_coefficients,
     inverse_series,
-    inverse_egf_by_reversion,
     inverse_egf_by_lagrange,
-    inverse_egf_by_recurrence,
+    inverse_series_by_recurrence,
     verify_all,
 )
 from .identities import (

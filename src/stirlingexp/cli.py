@@ -257,7 +257,6 @@ def _run_verify(args) -> int:
     _check_ceiling("--max", args.max, VERIFY_MAX_K)
     with _data_out(args.output) as out:
         reports = identities.run_all(args.max)
-        reports.append(identities.reciprocal_consistency(args.max))
         cross = coefficients.verify_all(args.max)
         ok = all(r.ok for r in reports) and cross.agreed
         if args.format == "json":

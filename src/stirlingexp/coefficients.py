@@ -2,16 +2,23 @@
 
 The target numbers a_k are the rational coefficients of the asymptotic
 expansion  n! ~ sqrt(2 pi n) e^-n n^n (a_0 + a_1/n + a_2/n^2 + ...),
-with a_0 = 1, a_1 = 1/12, a_2 = 1/288.  They are computed here by six
-genuinely different methods, all exact:
+with a_0 = 1, a_1 = 1/12, a_2 = 1/288.  By Lagrange inversion
 
-  * high derivatives of a rational power of the truncated-exp kernel,
-  * the same with the truncated-log kernel,
-  * an alternating sum over restricted set-partition counts,
-  * an alternating sum over restricted permutation counts,
-  * the exponential of the classical Bernoulli-number series,
-  * the coefficient table of the compositional inverse of
-    x * sqrt(kernel).
+    a_k = c_{2k+1} / (2^k k!),
+
+with c_m the m-th Taylor coefficient of the compositional inverse of
+x * sqrt(kernel) (the exp and log sides share their odd coefficients);
+_from_inverse takes that quotient.  There are six exact routes, five of
+which differ only in how they reach c_{2k+1}:
+
+  * exp-kernel, log-kernel: Lagrange inversion on the truncated-exp or
+    truncated-log kernel (inverse_egf_by_lagrange),
+  * partition-sum, derangement-sum: the generalized alternating sums
+    over 3-restricted set-partition or permutation counts,
+  * inverse-table: reversion of x * sqrt(exp kernel), checked at every
+    power against the recurrence of its differential equation,
+  * bernoulli: the exponential of the classical Bernoulli-number series,
+    which gives a_k directly.
 
 Agreement across all of them is exposed as a first-class cross-check
 (verify_all), not just as a test.
@@ -46,18 +53,17 @@ __all__ = [
     "CoeffTable",
     "COEFF_METHODS",
     "KERNELS",
-    "double_factorial_odd",
     "coeff_via_exp_kernel",
     "coeff_via_log_kernel",
     "coeff_via_partition_sum",
     "coeff_via_derangement_sum",
     "coeff_via_bernoulli",
-    "coeff_from_inverse_table",
     "expansion_coefficients",
     "inverse_series",
-    "inverse_egf_by_reversion",
     "inverse_egf_by_lagrange",
-    "inverse_egf_by_recurrence",
+    "inverse_series_by_recurrence",
+    "generalized_partition_sum",
+    "generalized_derangement_sum",
     "coefficient_table",
     "CrossCheck",
     "verify_all",
@@ -88,8 +94,7 @@ def _kernel(kind: str, order: int) -> TruncatedSeries:
 class CoeffTable:
     """A coefficient sequence labelled with the method that produced it.
 
-    values[i] is the i-th coefficient; inverse-series tables carry a
-    leading 0 at index 0 because those series have no constant term.
+    values[i] is the i-th coefficient.
     """
 
     method: str
@@ -113,66 +118,85 @@ class CoeffTable:
         }
 
 
-def double_factorial_odd(m: int) -> int:
-    """(m)!! for odd m >= -1, with (-1)!! == 1 by convention."""
-    if m < -1 or m % 2 == 0:
-        raise ValueError(f"odd double factorial needs odd m >= -1, got {m}")
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result
-
-
 def _require_index(k: int) -> None:
     if k < 0:
         raise ValueError(f"coefficient index must be >= 0, got {k}")
 
 
-def _via_kernel(kind: str, k: int) -> Fraction:
-    # a_k = (2k)-th derivative at 0 of kernel^(-(2k+1)/2), over 2^k k!
-    order = 2 * k
-    power = _kernel(kind, order).power_rational(Fraction(-(2 * k + 1), 2))
-    return power.egf_coefficient(order) / (2**k * math.factorial(k))
+def _from_inverse(c: Fraction, k: int) -> Fraction:
+    # a_k from c = c_{2k+1}, the Taylor coefficient of the inverse series
+    return c / (2**k * math.factorial(k))
+
+
+def inverse_egf_by_lagrange(kind: str, k: int) -> Fraction:
+    """k-th Taylor coefficient of the compositional inverse, closed form.
+
+    Lagrange inversion gives the (k-1)-th derivative at 0 of
+    kernel^(-k/2), with no reversion performed.
+    """
+    if k < 1:
+        raise ValueError(f"Lagrange route needs k >= 1, got {k}")
+    power = _kernel(kind, k - 1).power_rational(Fraction(-k, 2))
+    return power.egf_coefficient(k - 1)
+
+
+def _generalized_sum(count, k: int) -> Fraction:
+    # sum_{j=0}^{k-1} (-1)^j count(3, k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)),
+    # added as integers over (k+1)(k+3)...(3k-3), from j = k-1 down: the
+    # factor that lifts term j is (k+2j+1)(k+2j+3)...(3k-3), and after
+    # the last term it is the common denominator itself
+    if k < 1:
+        raise ValueError(f"index must be >= 1, got {k}")
+    total, lift = 0, 1
+    for j in range(k - 1, -1, -1):
+        total += (-1) ** j * count(3, k + 2 * j - 1, j) * lift
+        if j:
+            lift *= k + 2 * j - 1
+    return Fraction(total, lift)
+
+
+def generalized_partition_sum(k: int) -> Fraction:
+    """sum_j (-1)^j S(k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)), blocks >= 3.
+
+    Equals the k-th Taylor coefficient of the exp-side inverse series.
+    """
+    return _generalized_sum(combinat.stirling2_assoc, k)
+
+
+def generalized_derangement_sum(k: int) -> Fraction:
+    """Same sum over cycle counts, with sign (-1)^(k+j-1).
+
+    Equals the k-th Taylor coefficient of the log-side inverse series.
+    """
+    return (-1) ** (k - 1) * _generalized_sum(combinat.derangement_assoc, k)
 
 
 @cache
 def coeff_via_exp_kernel(k: int) -> Fraction:
-    """a_k from derivatives of the truncated-exp kernel."""
+    """a_k by Lagrange inversion on the truncated-exp kernel."""
     _require_index(k)
-    return _via_kernel("exp", k)
+    return _from_inverse(inverse_egf_by_lagrange("exp", 2 * k + 1), k)
 
 
 @cache
 def coeff_via_log_kernel(k: int) -> Fraction:
-    """a_k from derivatives of the truncated-log kernel."""
+    """a_k by Lagrange inversion on the truncated-log kernel."""
     _require_index(k)
-    return _via_kernel("log", k)
-
-
-def _via_count_sum(count, k: int) -> Fraction:
-    # a_k = sum_{j=0}^{2k} (-1)^j count(3, 2(j+k), j) / (2^(j+k) (j+k)!),
-    # added as integers over 2^(3k) (3k)!, from j = 2k down: the factor
-    # that lifts term j is 2^(2k-j) (3k)!/(j+k)!
-    total, lift = 0, 1
-    for j in range(2 * k, -1, -1):
-        total += (-1) ** j * count(3, 2 * (j + k), j) * lift
-        lift *= 2 * (j + k)
-    return Fraction(total, 2 ** (3 * k) * math.factorial(3 * k))
+    return _from_inverse(inverse_egf_by_lagrange("log", 2 * k + 1), k)
 
 
 @cache
 def coeff_via_partition_sum(k: int) -> Fraction:
     """a_k as an alternating sum over 3-restricted set-partition counts."""
     _require_index(k)
-    return _via_count_sum(combinat.stirling2_assoc, k)
+    return _from_inverse(generalized_partition_sum(2 * k + 1), k)
 
 
 @cache
 def coeff_via_derangement_sum(k: int) -> Fraction:
     """a_k as an alternating sum over 3-restricted permutation counts."""
     _require_index(k)
-    return _via_count_sum(combinat.derangement_assoc, k)
+    return _from_inverse(generalized_derangement_sum(2 * k + 1), k)
 
 
 def _bernoulli_exponent(order: int) -> TruncatedSeries:
@@ -196,31 +220,6 @@ def coeff_via_bernoulli(k: int) -> Fraction:
     return _bernoulli_exponent(k).exp()[k]
 
 
-def coeff_from_inverse_table(
-    k: int, table: CoeffTable, scaled_table: CoeffTable | None = None
-) -> Fraction:
-    """a_k = table[2k+1] / (2^k k!) for an exp-side inverse-series table.
-
-    When the matching scaled table (entries divided by the factorial of
-    their index) is supplied, the equivalent form (2k+1)!! * scaled[2k+1]
-    is computed too, and ArithmeticError is raised if the two differ.
-    """
-    _require_index(k)
-    if table.index_max < 2 * k + 1:
-        raise ValueError(
-            f"table depth {table.index_max} too shallow for k={k}; "
-            f"need index {2 * k + 1}"
-        )
-    value = table[2 * k + 1] / (2**k * math.factorial(k))
-    if scaled_table is not None:
-        alt = double_factorial_odd(2 * k + 1) * scaled_table[2 * k + 1]
-        if alt != value:
-            raise ArithmeticError(
-                f"inverse-table routes disagree at k={k}: {value} vs {alt}"
-            )
-    return value
-
-
 @cache
 def inverse_series(kind: str, order: int) -> TruncatedSeries:
     """Compositional inverse of x * sqrt(kernel), as a series.
@@ -236,70 +235,38 @@ def inverse_series(kind: str, order: int) -> TruncatedSeries:
     return lifted.reversion()
 
 
-def inverse_egf_by_reversion(kind: str, index_max: int) -> CoeffTable:
-    """Taylor coefficients of the compositional inverse, by actual reversion."""
-    if index_max < 1:
-        raise ValueError(f"index_max must be >= 1, got {index_max}")
-    series = inverse_series(kind, index_max)
-    values = tuple(series.egf_coefficient(i) for i in range(index_max + 1))
-    return CoeffTable(method=f"reversion-{kind}", values=values)
+def inverse_series_by_recurrence(kind: str, order: int) -> TruncatedSeries:
+    """The compositional inverse of x * sqrt(kernel), by quadratic recurrence.
 
-
-def inverse_egf_by_lagrange(kind: str, k: int) -> Fraction:
-    """k-th Taylor coefficient of the compositional inverse, closed form.
-
-    Lagrange inversion gives the (k-1)-th derivative at 0 of
-    kernel^(-k/2), with no reversion performed.
-    """
-    if k < 1:
-        raise ValueError(f"Lagrange route needs k >= 1, got {k}")
-    power = _kernel(kind, k - 1).power_rational(Fraction(-k, 2))
-    return power.egf_coefficient(k - 1)
-
-
-def inverse_egf_by_recurrence(
-    kind: str, index_max: int, scaled: bool = False
-) -> CoeffTable:
-    """Taylor coefficients of the compositional inverse by quadratic recurrence.
-
-    The x^k coefficient of the differential equations B'B = x - (x^2/2) B'
+    The paper states the recurrence for the Taylor coefficients t[k]: the
+    x^k coefficient of the differential equations B'B = x - (x^2/2) B'
     (exp side) and C'C = xC + x (log side) gives, for k >= 2,
 
-        (k+1) v[k] = s_k v[k-1] - sum_{j=1}^{k-2} w_kj v[j+1] v[k-j],
+        (k+1) t[k] = k s_k t[k-1] - sum_{j=1}^{k-2} C(k, j) t[j+1] t[k-j],
 
-    from v[0] = 0 and v[1] = 1, with weight w_kj = C(k, j) and shift term
-    s_k = k (1-k)/2 on the exp side or s_k = k on the log side.
+    with s_k = (1-k)/2 on the exp side and s_k = 1 on the log side.  In
+    the ordinary coefficients v[i] = t[i]/i! computed here this reads
 
-    scaled=True produces the sequence divided by the factorial of the
-    index (the ordinary coefficients of the inverse series).  That is the
-    same recurrence with v[i] -> v[i]/i!, which turns the weight into
-    j+1 and drops the factor k from the shift term.
+        (k+1) v[k] = s_k v[k-1] - sum_{j=1}^{k-2} (j+1) v[j+1] v[k-j],
+
+    from v[0] = 0 and v[1] = 1.  No reversion is performed.
     """
     if kind not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
-    if index_max < 1:
-        raise ValueError(f"index_max must be >= 1, got {index_max}")
+    if order < 1:
+        raise ValueError(f"inverse series needs order >= 1, got {order}")
     v = _Running(Fraction(0))
     v.append(Fraction(1))
-    for k in range(2, index_max + 1):
-        # weights for j = 1 .. k-2, built once per k
+    for k in range(2, order + 1):
         shift = Fraction(1 - k, 2) if kind == "exp" else 1
-        if scaled:
-            weights = range(2, k)
-        else:
-            weights = [math.comb(k, j) for j in range(1, k - 1)]
-            shift *= k
         # v[i] = nums[i] / den, so the cross sum is an int over den^2
         nums, den = v.nums, v.den
-        cross = sum(
-            w * nums[j + 1] * nums[k - j] for j, w in enumerate(weights, 1)
-        )
+        cross = sum((j + 1) * nums[j + 1] * nums[k - j] for j in range(1, k - 1))
         p, q = shift.numerator, shift.denominator
         v.append(
             Fraction(p * nums[k - 1] * den - q * cross, q * den * den * (k + 1))
         )
-    suffix = "-scaled" if scaled else ""
-    return CoeffTable(method=f"recurrence-{kind}{suffix}", values=tuple(v.values))
+    return TruncatedSeries(v.values, order=order)
 
 
 def expansion_coefficients(index_max: int) -> list[Fraction]:
@@ -325,11 +292,18 @@ def coefficient_table(method: str, index_max: int) -> CoeffTable:
     """a_0 .. a_index_max by the named method."""
     _require_index(index_max)
     if method == "inverse-table":
-        depth = 2 * index_max + 1
-        table = inverse_egf_by_reversion("exp", depth)
-        scaled = inverse_egf_by_recurrence("exp", depth, scaled=True)
+        order = 2 * index_max + 1
+        series = inverse_series("exp", order)
+        recurrence = inverse_series_by_recurrence("exp", order)
+        for i in range(order + 1):
+            if series[i] != recurrence[i]:
+                raise ArithmeticError(
+                    f"inverse-table routes disagree at x^{i}: reversion "
+                    f"{series[i]}, recurrence {recurrence[i]}"
+                )
         values = tuple(
-            coeff_from_inverse_table(k, table, scaled) for k in range(index_max + 1)
+            _from_inverse(series.egf_coefficient(2 * k + 1), k)
+            for k in range(index_max + 1)
         )
         return CoeffTable(method=method, values=values)
     if method not in _METHOD_FUNCS:

@@ -8,11 +8,18 @@ rather than restating them.  Checks never assert; deciding what a
 failure means is left to the caller (the CLI maps any failure to a
 nonzero exit code).
 
-The checks: the plain and generalized sum identities, the difference of
-the two inverse series, their implicit and differential equations, the
-kernel-derivative route against the partition sum, and the reciprocal
-check (inverting the alternating ratio series gives back the expansion).
-All of it is exact rational arithmetic.
+The coefficient routes rest on one identification, made in
+coefficients: a_k = c_{2k+1} / (2^k k!), with c_m the m-th Taylor
+coefficient of the exp-side inverse series.  The kernel routes reach
+c_{2k+1} by Lagrange inversion, the count-sum routes by the generalized
+partition and derangement sums at m = 2k+1, and the inverse-table route
+by reversion.  The checks here test what that identification leans on:
+the plain sum identity (the two count-sum routes agree), the generalized
+sum identity (the two generalized sums agree at every m but m = 2), the
+difference of the two inverse series, their implicit and differential
+equations, the kernel-derivative route against the partition sum, and
+the reciprocal check (inverting the alternating ratio series gives back
+the expansion).  All of it is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import combinat
 from .coefficients import (
     coeff_via_derangement_sum,
     coeff_via_exp_kernel,
     coeff_via_partition_sum,
     expansion_coefficients,
+    generalized_derangement_sum,
+    generalized_partition_sum,
     inverse_series,
 )
 from .series import TruncatedSeries, format_rational
@@ -91,45 +99,13 @@ def report_from_pairs(
 def check_sum_identity(k: int) -> IdentityReport:
     """The partition-sum and derangement-sum routes to a_k agree.
 
-    Both routes are the one alternating sum over j = 0 .. 2k with the
-    same weights 2^(j+k) (j+k)!, differing only in the combinatorial
-    count inside; this compares what the two routes return.  k < 0
-    raises ValueError.
+    Both routes are the generalized sum at 2k+1, differing only in the
+    combinatorial count inside; this compares what the two routes
+    return.  k < 0 raises ValueError.
     """
     left = coeff_via_partition_sum(k)
     right = coeff_via_derangement_sum(k)
     return report_from_pairs("sum-identity", [(k, left, right)])
-
-
-def _generalized_sum(count, k: int) -> Fraction:
-    # sum_{j=0}^{k-1} (-1)^j count(3, k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)),
-    # added as integers over (k+1)(k+3)...(3k-3), from j = k-1 down: the
-    # factor that lifts term j is (k+2j+1)(k+2j+3)...(3k-3), and after
-    # the last term it is the common denominator itself
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    total, lift = 0, 1
-    for j in range(k - 1, -1, -1):
-        total += (-1) ** j * count(3, k + 2 * j - 1, j) * lift
-        if j:
-            lift *= k + 2 * j - 1
-    return Fraction(total, lift)
-
-
-def generalized_partition_sum(k: int) -> Fraction:
-    """sum_j (-1)^j S(k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)), blocks >= 3.
-
-    Equals the k-th Taylor coefficient of the exp-side inverse series.
-    """
-    return _generalized_sum(combinat.stirling2_assoc, k)
-
-
-def generalized_derangement_sum(k: int) -> Fraction:
-    """Same sum over cycle counts, with sign (-1)^(k+j-1).
-
-    Equals the k-th Taylor coefficient of the log-side inverse series.
-    """
-    return (-1) ** (k - 1) * _generalized_sum(combinat.derangement_assoc, k)
 
 
 def check_generalized_sum_identity(k: int) -> IdentityReport:
@@ -251,4 +227,5 @@ def run_all(max_index: int) -> list[IdentityReport]:
     reports.extend(check_differential_equations(max_index))
     for k in range(max_index + 1):
         reports.append(check_derivative_vs_partition_sum(k))
+    reports.append(reciprocal_consistency(max_index))
     return reports

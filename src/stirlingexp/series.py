@@ -239,8 +239,6 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self * other.inverse()
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a series by zero")

@@ -229,7 +229,7 @@ def test_verify_computes_each_route_and_inverse_series_once(
     # on cold caches: one reversion per inverse series (exp and log at
     # order 6, exp at 13 for the inverse table), and each a_k once per
     # kernel route and once per count-sum route
-    calls = {"reversion": 0, "_via_kernel": 0, "_via_count_sum": 0}
+    calls = {"reversion": 0, "lagrange": 0, "generalized_sum": 0}
 
     def counting(name, func):
         def counted(*args):
@@ -241,13 +241,15 @@ def test_verify_computes_each_route_and_inverse_series_once(
         TruncatedSeries, "reversion",
         counting("reversion", TruncatedSeries.reversion),
     )
-    for name in ("_via_kernel", "_via_count_sum"):
+    for name, key in [("inverse_egf_by_lagrange", "lagrange"),
+                      ("generalized_partition_sum", "generalized_sum"),
+                      ("generalized_derangement_sum", "generalized_sum")]:
         monkeypatch.setattr(
-            coefficients, name, counting(name, getattr(coefficients, name))
+            coefficients, name, counting(key, getattr(coefficients, name))
         )
     code, _, _ = run_cli(capsys, ["verify", "--max", "6"])
     assert code == 0
-    assert calls == {"reversion": 3, "_via_kernel": 2 * 7, "_via_count_sum": 2 * 7}
+    assert calls == {"reversion": 3, "lagrange": 2 * 7, "generalized_sum": 2 * 7}
 
 
 def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):

@@ -7,22 +7,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stirlingexp import coefficients
 from stirlingexp.coefficients import (
     COEFF_METHODS,
-    CoeffTable,
-    coeff_from_inverse_table,
     coeff_via_bernoulli,
     coeff_via_derangement_sum,
     coeff_via_exp_kernel,
     coeff_via_log_kernel,
     coeff_via_partition_sum,
     coefficient_table,
-    double_factorial_odd,
     expansion_coefficients,
     inverse_egf_by_lagrange,
-    inverse_egf_by_recurrence,
-    inverse_egf_by_reversion,
     inverse_series,
+    inverse_series_by_recurrence,
     verify_all,
 )
 from stirlingexp.series import TruncatedSeries
@@ -101,40 +98,42 @@ def test_inverse_series_requires_positive_order():
         inverse_series("tanh", 5)
 
 
+def _taylor(series):
+    return tuple(series.egf_coefficient(i) for i in range(series.order + 1))
+
+
 def test_reversion_tables():
-    assert inverse_egf_by_reversion("exp", 6).values == KNOWN_EXP_TABLE
-    assert inverse_egf_by_reversion("log", 6).values == KNOWN_LOG_TABLE
+    assert _taylor(inverse_series("exp", 6)) == KNOWN_EXP_TABLE
+    assert _taylor(inverse_series("log", 6)) == KNOWN_LOG_TABLE
 
 
 def test_lagrange_matches_reversion():
-    exp_table = inverse_egf_by_reversion("exp", 9)
-    log_table = inverse_egf_by_reversion("log", 9)
+    exp_series = inverse_series("exp", 9)
+    log_series = inverse_series("log", 9)
     for k in range(1, 10):
-        assert inverse_egf_by_lagrange("exp", k) == exp_table[k]
-        assert inverse_egf_by_lagrange("log", k) == log_table[k]
+        assert inverse_egf_by_lagrange("exp", k) == exp_series.egf_coefficient(k)
+        assert inverse_egf_by_lagrange("log", k) == log_series.egf_coefficient(k)
     with pytest.raises(ValueError):
         inverse_egf_by_lagrange("exp", 0)
 
 
 def test_recurrences_match_reversion():
     for kind in ("exp", "log"):
-        by_rev = inverse_egf_by_reversion(kind, 60)
-        assert inverse_egf_by_recurrence(kind, 60).values == by_rev.values
-        scaled = inverse_egf_by_recurrence(kind, 60, scaled=True)
-        assert scaled.values == inverse_series(kind, 60).coeffs
+        by_recurrence = inverse_series_by_recurrence(kind, 60)
+        assert by_recurrence.order == 60
+        assert by_recurrence.coeffs == inverse_series(kind, 60).coeffs
 
 
-def test_scaled_recurrences_are_factorial_normalized():
-    for kind in ("exp", "log"):
-        plain = inverse_egf_by_recurrence(kind, 12)
-        scaled = inverse_egf_by_recurrence(kind, 12, scaled=True)
-        for k in range(13):
-            assert scaled[k] == plain[k] / math.factorial(k)
+def test_recurrence_guards():
+    with pytest.raises(ValueError):
+        inverse_series_by_recurrence("exp", 0)
+    with pytest.raises(ValueError):
+        inverse_series_by_recurrence("tanh", 5)
 
 
 def test_tables_differ_only_at_index_two():
-    exp_table = inverse_egf_by_recurrence("exp", 15)
-    log_table = inverse_egf_by_recurrence("log", 15)
+    exp_table = _taylor(inverse_series_by_recurrence("exp", 15))
+    log_table = _taylor(inverse_series_by_recurrence("log", 15))
     for k in range(16):
         if k == 2:
             assert log_table[k] - exp_table[k] == 1
@@ -142,44 +141,31 @@ def test_tables_differ_only_at_index_two():
             assert log_table[k] == exp_table[k], k
 
 
-def test_coeff_from_inverse_table():
-    table = inverse_egf_by_reversion("exp", 9)
-    scaled = inverse_egf_by_recurrence("exp", 9, scaled=True)
-    values = [coeff_from_inverse_table(k, table, scaled) for k in range(5)]
+def test_expansion_is_the_odd_taylor_coefficients_of_the_inverse():
+    # a_k = c_{2k+1} / (2^k k!), the identification every inverse-side
+    # route rests on
+    series = inverse_series("exp", 9)
+    values = [
+        series.egf_coefficient(2 * k + 1) / (2**k * math.factorial(k))
+        for k in range(5)
+    ]
     assert values == KNOWN_EXPANSION
+    assert coefficient_table("inverse-table", 4).values == tuple(values)
 
 
-def test_coeff_from_inverse_table_depth_guard():
-    table = inverse_egf_by_reversion("exp", 6)
-    with pytest.raises(ValueError):
-        coeff_from_inverse_table(3, table)
+@pytest.mark.parametrize("power", [4, 5])
+def test_inverse_table_detects_a_corrupt_recurrence(monkeypatch, power):
+    # reversion and recurrence are compared at every power, even and odd
+    original = coefficients.inverse_series_by_recurrence
 
+    def corrupted(kind, order):
+        coeffs = list(original(kind, order).coeffs)
+        coeffs[power] += 1
+        return TruncatedSeries(coeffs, order=order)
 
-def test_coeff_from_inverse_table_detects_corrupt_scaled_route():
-    table = inverse_egf_by_reversion("exp", 5)
-    corrupted = CoeffTable(
-        method="recurrence-exp-scaled",
-        values=tuple(
-            v + 1 if i == 3 else v
-            for i, v in enumerate(
-                inverse_egf_by_recurrence("exp", 5, scaled=True).values
-            )
-        ),
-    )
-    with pytest.raises(ArithmeticError):
-        coeff_from_inverse_table(1, table, corrupted)
-
-
-def test_double_factorial_odd():
-    assert double_factorial_odd(-1) == 1
-    assert double_factorial_odd(1) == 1
-    assert double_factorial_odd(3) == 3
-    assert double_factorial_odd(5) == 15
-    assert double_factorial_odd(7) == 105
-    with pytest.raises(ValueError):
-        double_factorial_odd(4)
-    with pytest.raises(ValueError):
-        double_factorial_odd(-3)
+    monkeypatch.setattr(coefficients, "inverse_series_by_recurrence", corrupted)
+    with pytest.raises(ArithmeticError, match=rf"at x\^{power}:"):
+        coefficient_table("inverse-table", 6)
 
 
 def test_expansion_coefficients_helper():

@@ -99,6 +99,7 @@ def test_run_all_aggregates_everything():
         "diffeq-exp",
         "diffeq-log",
         "derivative-vs-partition-sum",
+        "reciprocal-consistency",
     }
 
 

@@ -96,14 +96,14 @@ STAR_NAMES = [
     "check_derivative_vs_partition_sum", "check_differential_equations",
     "check_generalized_sum_identity", "check_implicit_equations",
     "check_inverse_difference", "check_sum_identity",
-    "coeff_from_inverse_table", "coeff_via_bernoulli",
+    "coeff_via_bernoulli",
     "coeff_via_derangement_sum", "coeff_via_exp_kernel",
     "coeff_via_log_kernel", "coeff_via_partition_sum", "coefficients",
     "combinat", "derangement_assoc", "derangement_from_series",
     "enumerate_oracle", "exp_kernel", "expansion_coefficients",
     "expansion_vs_quadrature", "format_rational", "identities",
-    "inverse_egf_by_lagrange", "inverse_egf_by_recurrence",
-    "inverse_egf_by_reversion", "inverse_series", "log_kernel",
+    "inverse_egf_by_lagrange", "inverse_series",
+    "inverse_series_by_recurrence", "log_kernel",
     "parse_rational", "reciprocal_consistency", "series", "stirling2_assoc",
     "stirling2_from_series", "stirling_ratio_exact",
     "stirling_ratio_quadrature", "verify_all",

@@ -1,6 +1,7 @@
 """Rules about the package source that no behavioural test can see."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import stirlingexp
@@ -70,3 +71,19 @@ def test_no_term_by_term_fraction_sum():
         )
     ]
     assert found == []
+
+
+def test_every_exported_name_is_bound():
+    # a deleted function cannot stay behind in an export list: each name
+    # in a module's __all__ resolves there, so its star import succeeds
+    paths = sorted(Path(stirlingexp.__file__).parent.glob("*.py"))
+    for path in paths:
+        name = "stirlingexp"
+        if path.stem != "__init__":
+            name += "." + path.stem
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        assert [n for n in exported if not hasattr(module, n)] == [], name
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        assert set(exported) <= set(namespace), name
