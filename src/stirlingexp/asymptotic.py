@@ -23,7 +23,7 @@ caller-supplied; nothing here auto-selects an order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -71,21 +71,18 @@ def _sum_over_powers(coeffs: list[Fraction], x: int) -> Fraction:
     return Fraction(total, den * x ** (len(nums) - 1))
 
 
-@dataclass(frozen=True)
-class ApproxReport:
+_APPROX_FIELDS = "n terms precision_bits approx exact rel_error scaled_error"
+
+
+class ApproxReport(namedtuple("ApproxReport", _APPROX_FIELDS)):
     """Truncated-expansion approximation of n! with its error figures.
 
+    approx, rel_error and scaled_error are mpmath.mpf, exact is n!.
     scaled_error is rel_error * n^(terms+1); if the expansion behaves,
     it stays of one size as n grows for fixed terms.
     """
 
-    n: int
-    terms: int
-    precision_bits: int
-    approx: mpmath.mpf
-    exact: int
-    rel_error: mpmath.mpf
-    scaled_error: mpmath.mpf
+    __slots__ = ()
 
     def _str(self, value: mpmath.mpf) -> str:
         return mpmath.nstr(value, _decimal_digits(self.precision_bits))

@@ -38,7 +38,7 @@ FORMATS = ("plain", "csv", "json")
 SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 
 # ceilings that keep one command within a budget of 10 s of wall time;
-# the cost grows about as K^5 (the order-2K+1 reversion for coeffs, the
+# the cost grows about as K^4.5 (the order-2K+1 reversion for coeffs, the
 # order-K reversions for series and verify).  Measured at the ceiling on
 # a 2-vCPU machine, Python 3.11: coeffs --max 100 took 8.8 s, series
 # --which inv-exp --order 220 8.4 s, verify --max 90 8.9 s.  Memoising
@@ -346,6 +346,8 @@ def _write_comb(handle, r: int, rows, fmt: str, kind: str) -> None:
 
 
 def _run_comb(args) -> int:
+    if args.max_n < 0:
+        raise _UsageError("--max-n must be >= 0")
     _check_ceiling("--max-n", args.max_n, COMB_MAX_N)
     try:
         rows = combinat.comb_table(args.r, args.max_n, args.kind)

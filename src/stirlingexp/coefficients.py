@@ -35,7 +35,7 @@ Fraction per result, as the series kernels do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -90,15 +90,22 @@ def _kernel(kind: str, order: int) -> TruncatedSeries:
     raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
 
 
-@dataclass(frozen=True)
 class CoeffTable:
     """A coefficient sequence labelled with the method that produced it.
 
-    values[i] is the i-th coefficient.
+    values[i] is the i-th coefficient.  The fields cannot be changed.
     """
 
-    method: str
-    values: tuple[Fraction, ...]
+    __slots__ = ("method", "values")
+
+    def __init__(self, method: str, values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"CoeffTable is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def index_max(self) -> int:
@@ -312,13 +319,10 @@ def coefficient_table(method: str, index_max: int) -> CoeffTable:
     return CoeffTable(method=method, values=tuple(func(k) for k in range(index_max + 1)))
 
 
-@dataclass(frozen=True)
-class CrossCheck:
+class CrossCheck(namedtuple("CrossCheck", "index_max tables mismatches")):
     """Result of computing every coefficient by each of the given methods."""
 
-    index_max: int
-    tables: tuple[CoeffTable, ...]
-    mismatches: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def agreed(self) -> bool:

@@ -24,7 +24,7 @@ the expansion).  All of it is exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coefficients import (
@@ -54,14 +54,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one identity over a contiguous index range."""
+class IdentityReport(namedtuple("IdentityReport", "identity lo hi failures")):
+    """Outcome of one identity over the index range lo..hi: failures holds
+    an (index, left, right) witness for each index where the sides differ."""
 
-    identity: str
-    lo: int
-    hi: int
-    failures: tuple[tuple[int, Fraction, Fraction], ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -17,6 +17,8 @@ from stirlingexp.asymptotic import (
     stirling_ratio_exact,
     stirling_ratio_quadrature,
 )
+from stirlingexp.coefficients import CoeffTable, CrossCheck, coefficient_table, verify_all
+from stirlingexp.identities import IdentityReport, report_from_pairs
 
 
 def test_closed_form_ratio_at_one():
@@ -236,8 +238,24 @@ def test_rejected_inputs():
         quadrature_integrand(0, mp.mpf(1))
 
 
-def test_report_is_frozen():
-    report = approx_factorial(5, 1)
-    assert isinstance(report, ApproxReport)
+@pytest.mark.parametrize(
+    "cls, build, field",
+    [
+        (CoeffTable, lambda: coefficient_table("bernoulli", 3), "values"),
+        (CrossCheck, lambda: verify_all(3), "mismatches"),
+        (IdentityReport, lambda: report_from_pairs("x", [(0, 1, 2)]), "failures"),
+        (ApproxReport, lambda: approx_factorial(5, 1), "n"),
+    ],
+    ids=["CoeffTable", "CrossCheck", "IdentityReport", "ApproxReport"],
+)
+def test_record_is_frozen(cls, build, field):
+    # each result record is immutable: its fields can be neither
+    # reassigned nor deleted
+    record = build()
+    assert isinstance(record, cls)
+    value = getattr(record, field)
     with pytest.raises(AttributeError):
-        report.n = 7
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is value

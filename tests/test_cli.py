@@ -615,6 +615,13 @@ def test_comb_invalid_block_size_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_comb_negative_max_n_names_the_option(capsys):
+    code, out, err = run_cli(capsys, ["comb", "--max-n", "-1"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-n must be >= 0\n"
+
+
 # ---------------------------------------------------------------------------
 # parser-level behaviour
 

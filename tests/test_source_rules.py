@@ -35,16 +35,24 @@ def _imported_modules(node):
     return []
 
 
-def test_only_asymptotic_imports_mpmath():
-    # the exact layers must start without mpmath; only the numeric
-    # validation needs it
-    importers = {
-        name
-        for name, node in _package_nodes()
-        for module in _imported_modules(node)
-        if module.split(".")[0] == "mpmath"
-    }
-    assert importers == {"asymptotic.py"}
+# module -> the package files that may import it.  The exact layers
+# start without mpmath; only the numeric validation needs it.  No file
+# imports dataclasses, which with inspect would cost every command's
+# start-up about 12-15 ms
+RESTRICTED_IMPORTS = {
+    "mpmath": {"asymptotic.py"},
+    "dataclasses": set(),
+}
+
+
+def test_restricted_modules_are_imported_only_where_allowed():
+    importers = {module: set() for module in RESTRICTED_IMPORTS}
+    for name, node in _package_nodes():
+        for module in _imported_modules(node):
+            top = module.split(".")[0]
+            if top in importers:
+                importers[top].add(name)
+    assert importers == RESTRICTED_IMPORTS
 
 
 def _is_fraction_call(node):
