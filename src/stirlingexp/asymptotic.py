@@ -33,7 +33,7 @@ from mpmath import mp
 
 from .coefficients import expansion_coefficients
 from .identities import reciprocal_consistency
-from .series import DEFAULT_PRECISION_BITS, _lift
+from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, _lift
 
 __all__ = [
     "DEFAULT_PRECISION_BITS",
@@ -58,8 +58,9 @@ def _decimal_digits(precision_bits: int) -> int:
 
 
 def _require_precision(precision_bits: int) -> None:
-    if precision_bits < 64:
-        raise ValueError(f"precision_bits must be >= 64, got {precision_bits}")
+    floor = _MIN_PRECISION_BITS
+    if precision_bits < floor:
+        raise ValueError(f"precision_bits must be >= {floor}, got {precision_bits}")
 
 
 def _sum_over_powers(coeffs: list[Fraction], x: int) -> Fraction:

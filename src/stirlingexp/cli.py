@@ -24,6 +24,7 @@ from typing import Iterator, Sequence, TextIO
 from . import combinat, coefficients, identities
 from .coefficients import COEFF_METHODS
 from .series import (
+    _MIN_PRECISION_BITS,
     DEFAULT_PRECISION_BITS,
     TruncatedSeries,
     exp_kernel,
@@ -44,7 +45,9 @@ SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 # --which inv-exp --order 220 8.4 s, verify --max 90 8.9 s.  Memoising
 # the routes and inverse series and summing in integers, timed back to
 # back on one pinned CPU of a slower-running 2-vCPU machine (medians of
-# three): verify --max 90 6.9 -> 4.5 s, coeffs --max 100 7.9 -> 7.1 s
+# three): verify --max 90 6.9 -> 4.5 s, coeffs --max 100 7.9 -> 7.1 s.
+# One dot product per coefficient in the kernel powers, timed the same
+# way: coeffs --max 100 6.9 -> 6.1 s
 COEFFS_MAX_K = 100
 SERIES_MAX_ORDER = 220
 VERIFY_MAX_K = 90
@@ -77,6 +80,12 @@ class _UsageError(Exception):
 def _check_ceiling(option: str, value: int, ceiling: int) -> None:
     if value > ceiling:
         raise _UsageError(f"{option} must be <= {ceiling}, got {value}")
+
+
+def _check_range(option: str, value: int, floor: int, ceiling: int) -> None:
+    if value < floor:
+        raise _UsageError(f"{option} must be >= {floor}, got {value}")
+    _check_ceiling(option, value, ceiling)
 
 
 def _default_precision() -> int:
@@ -159,9 +168,9 @@ def _data_out(output: str | None) -> Iterator[TextIO]:
     """stdout, or the --output file opened for writing and closed after.
 
     A file that cannot be opened is a usage error (exit 2).  A command
-    opens it after its usage checks and, unless a usage error can come
-    out of the work itself, before the work: an unopenable path then
-    fails at once, and a usage error never truncates an existing file.
+    opens it after its usage checks and before the work: an unopenable
+    path then fails at once, and a usage error never truncates an
+    existing file.
     """
     if output is None:
         yield sys.stdout
@@ -283,23 +292,21 @@ def _run_verify(args) -> int:
 
 
 def _run_approx(args) -> int:
-    _check_ceiling("--n", args.n, APPROX_MAX_N)
-    _check_ceiling("--terms", args.terms, APPROX_MAX_TERMS)
+    _check_range("--n", args.n, 1, APPROX_MAX_N)
+    _check_range("--terms", args.terms, 0, APPROX_MAX_TERMS)
     if args.precision_bits is None:
         option, precision = PRECISION_ENV_VAR, _default_precision()
     else:
         option, precision = "--precision-bits", args.precision_bits
-    _check_ceiling(option, precision, APPROX_MAX_PRECISION_BITS)
+    _check_range(
+        option, precision, _MIN_PRECISION_BITS, APPROX_MAX_PRECISION_BITS
+    )
     # the only command that needs mpmath, so the only one that loads it
     from . import asymptotic
 
-    try:
-        report = asymptotic.approx_factorial(args.n, args.terms, precision)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    d = report.to_json_dict()
-    # opened after the work, out of which a usage error can come
     with _data_out(args.output) as out:
+        report = asymptotic.approx_factorial(args.n, args.terms, precision)
+        d = report.to_json_dict()
         if args.format == "json":
             _emit(json.dumps(d, indent=2), out)
         elif args.format == "csv":

@@ -38,7 +38,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import combinat
 from .series import (
@@ -117,6 +117,12 @@ class CoeffTable:
                 f"index {index} outside table range [0, {self.index_max}]"
             )
         return self.values[index]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self.values)
 
     def to_json_dict(self) -> dict:
         return {

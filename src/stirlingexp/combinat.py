@@ -63,11 +63,12 @@ EXACT = decimal.Context(
 )
 
 
-def _validate(r: int, n: int, k: int) -> None:
+def _validate(r: int, **counts: int) -> None:
     if r < 1:
         raise ValueError(f"minimum block/cycle size r must be >= 1, got {r}")
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0, got n={n}, k={k}")
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 def _rows(
@@ -110,7 +111,7 @@ _row_cache: dict[tuple[int, str], tuple[int, list[list[int]], Iterator[list[int]
 
 
 def _assoc(r: int, n: int, k: int, kind: str) -> int:
-    _validate(r, n, k)
+    _validate(r, n=n, k=k)
     if n < r * k:
         return 0
     entry = _row_cache.get((r, kind))
@@ -149,7 +150,7 @@ def _count_from_series(
     full: Callable[[int], TruncatedSeries], head_term: Callable[[int], Fraction],
 ) -> int:
     """l! * [x^l] of (full - sum_{i<r} head_term(i) x^i)^j / j!, an integer."""
-    _validate(r, l, j)
+    _validate(r, l=l, j=j)
     if l > order:
         raise ValueError(f"extraction index {l} exceeds series order {order}")
     head = TruncatedSeries(
@@ -242,7 +243,7 @@ def enumerate_oracle(r: int, n: int, k: int, kind: str) -> int:
     "derangement" walks every permutation.  Ground truth for tests;
     n is capped at ENUMERATION_LIMIT.
     """
-    _validate(r, n, k)
+    _validate(r, n=n, k=k)
     if n > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration is exponential; n={n} exceeds cap {ENUMERATION_LIMIT}"
@@ -295,5 +296,5 @@ def comb_table(r: int, max_n: int, kind: str) -> Iterator[list[Decimal]]:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    _validate(r, max_n, 0)
+    _validate(r, max_n=max_n)
     return islice(_exactly(_rows(r, kind, one=Decimal(1))), max_n + 1)

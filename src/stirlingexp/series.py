@@ -7,13 +7,14 @@ discards only powers above K, and retained coefficients are never
 perturbed.  Floating point is deliberately not accepted anywhere in this
 module.
 
-The products and recurrences do not add Fractions term by term, which
-would reduce every partial sum by a gcd.  Each lifts its inputs once to
+``inverse``, ``exp``, ``log1p`` and ``power_rational`` are one
+first-order recurrence, ``_first_order``, with four choices of weights.
+Products and recurrences do not add Fractions term by term, which would
+reduce every partial sum by a gcd.  They lift their inputs once to
 integer numerators over a common denominator (the lcm of the input
-denominators), accumulates every inner sum as an ``int``, and normalises
-once per output coefficient, when it builds that coefficient's reduced
-Fraction.  The recurrences keep the outputs they have produced so far
-over a running common denominator for the same reason.
+denominators), take every inner sum as one integer dot product, and build
+one reduced Fraction per output coefficient.  The recurrences keep their
+outputs so far over a running common denominator (``_Running``).
 
 The truncation order is explicit on every series and there is no global
 precision state.  Mixing two series of different orders is treated as a
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count
 from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
@@ -39,9 +41,10 @@ __all__ = [
 
 Scalar = Union[int, Fraction]
 
-# default binary precision of the numeric validation in asymptotic; kept
-# here, away from mpmath, so that the CLI can show it without loading it
+# default and least binary precision of asymptotic's numeric validation;
+# kept here, away from mpmath, so that the CLI can use them without it
 DEFAULT_PRECISION_BITS = 128
+_MIN_PRECISION_BITS = 64
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -292,74 +295,55 @@ class TruncatedSeries:
             result = result * inner + self._coeffs[i]
         return result
 
+    def _first_order(self, start, a: int, b: int, d: int = 1, source: int = 0):
+        """The series P with P[0] = start and, for f = self and n >= 1,
+
+            d f[0] n P[n] = source n f[n] + sum_{j=1..n} (a j - b n) f[j] P[n-j].
+
+        Each P[n] is one integer dot product of the weights (a j - b n) f[j],
+        small multiples of f's lifted numerators, with P's numerators so far.
+        """
+        f, _ = _lift(self._coeffs)  # its denominator cancels against f[0]
+        lead, f1 = d * f[0], f[1:]
+        out = _Running(start)
+        for n in range(1, self.order + 1):
+            weights = map(mul, count(a - b * n, a), f1)
+            acc = sum(map(mul, weights, reversed(out.nums)))
+            nden = n * out.den
+            out.append(Fraction(source * f[n] * nden + acc, lead * nden))
+        return TruncatedSeries(out.values)
+
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse 1/self; the constant term must be nonzero."""
+        """1/self, the constant term nonzero: f[0] P[n] = -sum_j f[j] P[n-j]."""
         c0 = self._coeffs[0]
         if c0 == 0:
             raise ValueError("multiplicative inverse requires a nonzero constant term")
-        f, df = _lift(self._coeffs)
-        f1 = f[1:]
-        out = _Running(1 / c0)
-        for _ in range(self.order):
-            # out[n] = -sum_{j=1..n} f[j] out[n-j] / c0
-            acc = sum(map(mul, f1, reversed(out.nums)))
-            out.append(
-                Fraction(-acc * c0.denominator, df * out.den * c0.numerator)
-            )
-        return TruncatedSeries(out.values)
+        return self._first_order(1 / c0, 0, 1)
 
     def exp(self) -> "TruncatedSeries":
-        """exp(self), requiring a zero constant term.
-
-        Uses the recurrence n*E[n] = sum_{m=1..n} m*f[m]*E[n-m] obtained
-        from E' = f'E, so the cost is quadratic in the order.
-        """
+        """exp(self), the constant term zero; E' = f'E with f = 1 + self."""
         if self._coeffs[0] != 0:
             raise ValueError("exp requires a zero constant term")
-        f, df = _lift(self._coeffs)
-        mf = [m * v for m, v in enumerate(f)][1:]
-        out = _Running(Fraction(1))
-        for n in range(1, self.order + 1):
-            acc = sum(map(mul, mf, reversed(out.nums)))
-            out.append(Fraction(acc, n * df * out.den))
-        return TruncatedSeries(out.values)
+        return (self + 1)._first_order(Fraction(1), 1, 0)
 
     def log1p(self) -> "TruncatedSeries":
-        """log(1 + self), requiring a zero constant term."""
+        """log(1 + self), the constant term zero; f L' = f' with f = 1 + self."""
         if self._coeffs[0] != 0:
             raise ValueError("log1p requires a zero constant term")
-        f, df = _lift(self._coeffs)
-        out = _Running(Fraction(0))
-        for n in range(1, self.order + 1):
-            # out[n] = f[n] - sum_{j=1..n-1} (n-j) f[j] out[n-j] / n
-            o = out.nums
-            acc = sum((n - j) * f[j] * o[n - j] for j in range(1, n))
-            out.append(Fraction(n * f[n] * out.den - acc, n * df * out.den))
-        return TruncatedSeries(out.values)
+        return (self + 1)._first_order(Fraction(0), 1, 1, source=1)
 
     def power_rational(self, exponent: Scalar) -> "TruncatedSeries":
-        """self**exponent for a rational exponent, requiring constant term 1.
+        """self**r for a rational r = rn/rd, requiring constant term 1.
 
-        Defined by the binomial series sum_j C(r, j) (self - 1)^j;
-        computed here through the equivalent first-order recurrence from
-        P' f = r f' P, which costs O(order^2) instead of O(order^3).
+        Defined by the binomial series sum_j C(r, j) (self - 1)^j.  The
+        x^(n-1) coefficient of P' f = r f' P gives the O(order^2) recurrence
+        rd n P[n] = sum_{j=1..n} ((rn + rd) j - rd n) f[j] P[n-j].
         """
         if self._coeffs[0] != 1:
             raise ValueError("power_rational requires constant term exactly 1")
         r = as_fraction(exponent)
-        f, df = _lift(self._coeffs)
-        f1 = f[1:]
-        jf1 = [j * v for j, v in enumerate(f)][1:]
         rn, rd = r.numerator, r.denominator
-        out = _Running(Fraction(1))
-        for n in range(1, self.order + 1):
-            # n P[n] = r sum_{j=1..n} j f[j] P[n-j] - sum_{j=1..n-1} j P[j] f[n-j]
-            #        = sum_{j=1..n} (r j - (n - j)) f[j] P[n-j]
-            jfp = sum(map(mul, jf1, reversed(out.nums)))
-            fp = sum(map(mul, f1, reversed(out.nums)))
-            acc = (rn + rd) * jfp - rd * n * fp
-            out.append(Fraction(acc, rd * n * df * out.den))
-        return TruncatedSeries(out.values)
+        return self._first_order(Fraction(1), rn + rd, rd, rd)
 
     def reversion(self) -> "TruncatedSeries":
         """Compositional inverse S with S(self) == x through the full order.

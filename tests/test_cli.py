@@ -468,7 +468,32 @@ def test_approx_env_precision_above_the_ceiling_is_usage_error(
 def test_approx_rejects_n_zero(capsys):
     code, _, err = run_cli(capsys, ["approx", "--n", "0"])
     assert code == 2
-    assert err.startswith("error:")
+    assert err == "error: --n must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["--terms", "-1"], None, "--terms must be >= 0, got -1"),
+        (["--precision-bits", "10"], None,
+         "--precision-bits must be >= 64, got 10"),
+        ([], "10", f"{cli.PRECISION_ENV_VAR} must be >= 64, got 10"),
+    ],
+)
+def test_approx_below_a_floor_names_the_option(
+    capsys, monkeypatch, argv, env, message
+):
+    # the CLI checks its floors itself, before any work, in its own terms
+    def no_work(*args):
+        raise AssertionError("work started below the floor")
+
+    monkeypatch.setattr(asymptotic, "approx_factorial", no_work)
+    if env is not None:
+        monkeypatch.setenv(cli.PRECISION_ENV_VAR, env)
+    code, out, err = run_cli(capsys, ["approx", "--n", "5", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_approx_n_ceiling_is_usage_error(capsys):
@@ -657,6 +682,7 @@ def test_output_flag_writes_file_instead_of_stdout(capsys, tmp_path):
         ["series", "--which", "inv-exp", "--order", "6"],
         ["verify", "--max", "40"],
         ["comb", "--r", "3", "--max-n", "9"],
+        ["approx", "--n", "5"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -667,7 +693,8 @@ def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, argv):
         raise AssertionError("work started before --output was opened")
 
     for module, name in [(coefficients, "verify_all"), (identities, "run_all"),
-                         (coefficients, "inverse_series")]:
+                         (coefficients, "inverse_series"),
+                         (asymptotic, "approx_factorial")]:
         monkeypatch.setattr(module, name, no_work)
     target = tmp_path / "missing" / "x"
     code, out, err = run_cli(capsys, ["--output", str(target)] + argv)

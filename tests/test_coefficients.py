@@ -196,6 +196,12 @@ def test_coeff_table_accessors_and_serialization():
     }
 
 
+def test_coeff_table_is_a_sized_iterable_over_its_values():
+    table = coefficient_table("bernoulli", 3)
+    assert list(table) == list(table.values)
+    assert len(table) == table.index_max + 1
+
+
 def test_verify_all_reports_agreement():
     check = verify_all(6)
     assert check.agreed

@@ -187,6 +187,15 @@ def test_comb_table_layout():
     )
 
 
+def test_comb_table_names_only_the_argument_out_of_range():
+    with pytest.raises(ValueError) as excinfo:
+        comb_table(3, -1, "partition")
+    # no word of a k the caller never gave
+    assert str(excinfo.value) == "max_n must be >= 0, got -1"
+    with pytest.raises(ValueError, match="^k must be >= 0, got -1$"):
+        stirling2_assoc(3, 4, -1)
+
+
 @pytest.mark.parametrize(
     "count,r,n,k,expected",
     [

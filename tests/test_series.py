@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from stirlingexp import coefficients
 from stirlingexp.series import (
     TruncatedSeries,
     exp_kernel,
@@ -536,3 +537,29 @@ def test_power_rational_matches_schoolbook(f, r):
     lambda c1: _zero_led(head=(Fraction(0), c1), min_order=1)))
 def test_reversion_matches_schoolbook(f):
     assert list(TruncatedSeries(f).reversion().coeffs) == _naive_reversion(f)
+
+
+def test_recurrences_match_schoolbook_at_order_60():
+    # the series the coefficient routes feed these operations, at a size
+    # where numerators run to hundreds of digits and _Running rescales
+    K = 60
+    r = Fraction(-(K + 1), 2)
+    for kernel in (exp_kernel(K), log_kernel(K)):
+        assert list(kernel.power_rational(r).coeffs) == (
+            _naive_power_rational(kernel.coeffs, r)
+        )
+    exponent = coefficients._bernoulli_exponent(K)
+    expansion = exponent.exp()
+    assert list(expansion.coeffs) == _naive_exp(exponent.coeffs)
+    inverse = coefficients.inverse_series("exp", K)
+    assert list(inverse.log1p().coeffs) == _naive_log1p(inverse.coeffs)
+    alternating = TruncatedSeries(
+        [(-1) ** k * a for k, a in enumerate(expansion.coeffs)]
+    )
+    assert list(alternating.inverse().coeffs) == _naive_inverse(alternating.coeffs)
+
+
+def test_power_minus_one_is_the_inverse():
+    f = TruncatedSeries([1, Fraction(-2, 3), Fraction(5, 7), 0, Fraction(1, 9)])
+    assert f.power_rational(-1) == f.inverse()
+    assert exp_kernel(30).power_rational(-1) == exp_kernel(30).inverse()

@@ -95,3 +95,36 @@ def test_every_exported_name_is_bound():
         namespace = {}
         exec(f"from {name} import *", namespace)
         assert set(exported) <= set(namespace), name
+
+
+# TruncatedSeries methods that are one first-order recurrence, solved by
+# the shared loop in _first_order; none keeps a loop of its own
+ONE_RECURRENCE = ("inverse", "exp", "log1p", "power_rational")
+
+
+def test_the_first_order_recurrences_share_one_loop():
+    path = Path(stirlingexp.__file__).parent / "series.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (series_class,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "TruncatedSeries"
+    ]
+    methods = {
+        node.name: node
+        for node in series_class.body
+        if isinstance(node, ast.FunctionDef) and node.name in ONE_RECURRENCE
+    }
+    assert sorted(methods) == sorted(ONE_RECURRENCE)
+    found = [
+        f"{name}: {type(node).__name__}"
+        for name, method in methods.items()
+        for node in ast.walk(method)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+        or (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_Running"
+        )
+    ]
+    assert found == []
