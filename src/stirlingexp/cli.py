@@ -39,18 +39,19 @@ FORMATS = ("plain", "csv", "json")
 SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 
 # ceilings that keep one command within a budget of 10 s of wall time;
-# the cost grows about as K^4.5 (the order-2K+1 reversion for coeffs, the
-# order-K reversions for series and verify).  Measured at the ceiling on
-# a 2-vCPU machine, Python 3.11: coeffs --max 100 took 8.8 s, series
-# --which inv-exp --order 220 8.4 s, verify --max 90 8.9 s.  Memoising
-# the routes and inverse series and summing in integers, timed back to
-# back on one pinned CPU of a slower-running 2-vCPU machine (medians of
-# three): verify --max 90 6.9 -> 4.5 s, coeffs --max 100 7.9 -> 7.1 s.
-# One dot product per coefficient in the kernel powers, timed the same
-# way: coeffs --max 100 6.9 -> 6.1 s
-COEFFS_MAX_K = 100
-SERIES_MAX_ORDER = 220
-VERIFY_MAX_K = 90
+# the cost grows about as K^4, in series reversion (order 2K+1 for coeffs
+# and verify, order K for series and verify's inverse series) and in the
+# kernel powers.  Medians of three runs at the ceiling, pinned to one CPU
+# of a shared 2-vCPU machine, Python 3.11: coeffs --max 110 took 5.2 s,
+# series --order 260 4.3 s (inv-exp) and 5.2 s (inv-log), verify --max
+# 110 5.3 s.  At the previous ceilings, coeffs --max 100 took 3.8 s (7.1 s
+# with the reversion against the powers self^m), series --which inv-exp
+# --order 220 2.2 s (7.7 s) and verify --max 90 2.9 s (4.8 s).  Single
+# runs of coeffs --max 120 (8.9 s), series --order 300 (9.2 s) and verify
+# --max 120 (9.0 s) came too close to the budget
+COEFFS_MAX_K = 110
+SERIES_MAX_ORDER = 260
+VERIFY_MAX_K = 110
 
 # ceiling on comb --max-n, for output size and for the 10 s budget above:
 # the table has about n^2/(2r) counts of up to 2568 digits (1000!), and

@@ -268,18 +268,20 @@ def inverse_series_by_recurrence(kind: str, order: int) -> TruncatedSeries:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
     if order < 1:
         raise ValueError(f"inverse series needs order >= 1, got {order}")
-    v = _Running(Fraction(0))
-    v.append(Fraction(1))
+    values = [Fraction(0), Fraction(1)]
+    v = _Running(values[0])
+    v.append(values[1])
     for k in range(2, order + 1):
         shift = Fraction(1 - k, 2) if kind == "exp" else 1
         # v[i] = nums[i] / den, so the cross sum is an int over den^2
         nums, den = v.nums, v.den
         cross = sum((j + 1) * nums[j + 1] * nums[k - j] for j in range(1, k - 1))
         p, q = shift.numerator, shift.denominator
-        v.append(
+        values.append(
             Fraction(p * nums[k - 1] * den - q * cross, q * den * den * (k + 1))
         )
-    return TruncatedSeries(v.values, order=order)
+        v.append(values[-1])
+    return TruncatedSeries(values, order=order)
 
 
 def expansion_coefficients(index_max: int) -> list[Fraction]:

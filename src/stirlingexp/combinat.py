@@ -254,8 +254,8 @@ def enumerate_oracle(r: int, n: int, k: int, kind: str) -> int:
     return tally[k] if k <= n else 0
 
 
-# B_0, B_1, ... computed so far, as integers over one common denominator
-_bernoulli_cache = _Running(Fraction(1))
+# B_0, B_1, ... computed so far, and as integers over one common denominator
+_bernoulli_cache = ([Fraction(1)], _Running(Fraction(1)))
 
 
 def bernoulli(m: int) -> Fraction:
@@ -266,12 +266,13 @@ def bernoulli(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {m}")
-    known = _bernoulli_cache
-    while len(known.values) <= m:
-        i = len(known.values)
+    values, known = _bernoulli_cache
+    while len(values) <= m:
+        i = len(values)
         acc = sum(math.comb(i + 1, j) * b for j, b in enumerate(known.nums))
-        known.append(Fraction(-acc, known.den * (i + 1)))
-    return known.values[m]
+        values.append(Fraction(-acc, known.den * (i + 1)))
+        known.append(values[-1])
+    return values[m]
 
 
 def _exactly(rows: Iterator[list[Decimal]]) -> Iterator[list[Decimal]]:

@@ -9,12 +9,19 @@ module.
 
 ``inverse``, ``exp``, ``log1p`` and ``power_rational`` are one
 first-order recurrence, ``_first_order``, with four choices of weights.
+``reversion`` solves S(self) = x in the Taylor basis, against the
+triangle of partial Bell polynomials of self's Taylor coefficients
+(Comtet, *Advanced Combinatorics*, 1974, section 3.8); for the kernel
+roots the paper inverts, those have far smaller common denominators than
+the ordinary powers self^m (a series with small integer coefficients
+pays the factorials instead).
 Products and recurrences do not add Fractions term by term, which would
 reduce every partial sum by a gcd.  They lift their inputs once to
 integer numerators over a common denominator (the lcm of the input
 denominators), take every inner sum as one integer dot product, and build
-one reduced Fraction per output coefficient.  The recurrences keep their
-outputs so far over a running common denominator (``_Running``).
+one reduced Fraction per output coefficient.  The recurrences and the
+columns of the Bell triangle keep their values so far over a running
+common denominator (``_Running``).
 
 The truncation order is explicit on every series and there is no global
 precision state.  Mixing two series of different orders is treated as a
@@ -73,19 +80,19 @@ def _lift(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 class _Running:
-    """The outputs of a recurrence so far, as integer numerators over one
-    common denominator ``den``; ``values`` keeps them as reduced Fractions.
+    """The values of a recurrence so far, as integer numerators over one
+    common denominator ``den``.  A caller that needs them as reduced
+    Fractions keeps those itself.
 
-    ``den`` grows only when a new output's denominator does not divide it,
+    ``den`` grows only when a new value's denominator does not divide it,
     and then every earlier numerator is rescaled once.
     """
 
-    __slots__ = ("nums", "den", "values")
+    __slots__ = ("nums", "den")
 
     def __init__(self, first: Fraction):
         self.nums = [first.numerator]
         self.den = first.denominator
-        self.values = [first]
 
     def append(self, value: Fraction) -> None:
         d = value.denominator
@@ -94,7 +101,6 @@ class _Running:
             self.nums = [n * scale for n in self.nums]
             self.den *= scale
         self.nums.append(value.numerator * (self.den // d))
-        self.values.append(value)
 
 
 class TruncatedSeries:
@@ -305,13 +311,15 @@ class TruncatedSeries:
         """
         f, _ = _lift(self._coeffs)  # its denominator cancels against f[0]
         lead, f1 = d * f[0], f[1:]
+        values = [start]
         out = _Running(start)
         for n in range(1, self.order + 1):
             weights = map(mul, count(a - b * n, a), f1)
             acc = sum(map(mul, weights, reversed(out.nums)))
             nden = n * out.den
-            out.append(Fraction(source * f[n] * nden + acc, lead * nden))
-        return TruncatedSeries(out.values)
+            values.append(Fraction(source * f[n] * nden + acc, lead * nden))
+            out.append(values[-1])
+        return TruncatedSeries(values)
 
     def inverse(self) -> "TruncatedSeries":
         """1/self, the constant term nonzero: f[0] P[n] = -sum_j f[j] P[n-j]."""
@@ -349,35 +357,46 @@ class TruncatedSeries:
         """Compositional inverse S with S(self) == x through the full order.
 
         Requires coeffs[0] == 0 and coeffs[1] != 0.  Solves the triangular
-        system coefficient by coefficient against the truncated powers
-        self^m, whose lowest term is coeffs[1]^m * x^m.
+        system in the Taylor basis (Comtet, *Advanced Combinatorics*, 1974,
+        section 3.8).  With e_j = j! coeffs[j], the partial Bell polynomials
+
+            B(n, k) = sum_{j=1..n-k+1} C(n-1, j-1) e_j B(n-j, k-1)
+
+        are the Taylor coefficients of self^k / k!, so the Taylor
+        coefficients g of S satisfy sum_{k=1..n} g_k B(n, k) = [n == 1],
+        with diagonal B(n, n) = e_1^n.  The triangle is built a row at a
+        time; each column keeps its entries as integer numerators over a
+        running denominator, so each entry is one integer dot product of
+        the row's weights C(n-1, j-1) e_j with the column to its left.
         """
         f = self._coeffs
         if f[0] != 0:
             raise ValueError("reversion requires a zero constant term")
         if self.order < 1 or f[1] == 0:
             raise ValueError("reversion requires a nonzero linear term")
-        K = self.order
-        powers = [None, self]  # powers[m] = self^m, truncated
-        for m in range(2, K + 1):
-            powers.append(powers[-1] * self)
-        s = _Running(Fraction(0))
-        s.append(1 / f[1])
-        for m in range(2, K + 1):
-            # s[m] = -sum_{i=1..m-1} s[i] powers[i][m] / f[1]^m
-            column = [powers[i]._coeffs[m] for i in range(1, m)]
-            den = math.lcm(*(c.denominator for c in column))
-            acc = sum(
-                si * c.numerator * (den // c.denominator)
-                for si, c in zip(s.nums[1:], column)
-            )
-            s.append(
-                Fraction(
-                    -acc * f[1].denominator**m,
-                    s.den * den * f[1].numerator**m,
-                )
-            )
-        return TruncatedSeries(s.values, order=K)
+        e, den = _lift([math.factorial(j) * c for j, c in enumerate(f)])
+        columns = [_Running(f[1])]  # columns[k-1] holds B(k..n-1, k)
+        taylor = [1 / f[1]]  # g_1, g_2, ...
+        g = _Running(taylor[0])
+        for n in range(2, self.order + 1):
+            weights = [math.comb(n - 1, j - 1) * e[j] for j in range(1, n)]
+            # row n: B(n, 1) = e_n, then B(n, k) from column k-1 for k = 2..n
+            row = [Fraction(e[n], den)] + [
+                Fraction(sum(map(mul, weights, reversed(col.nums))), den * col.den)
+                for col in columns
+            ]
+            for col, value in zip(columns, row):
+                col.append(value)
+            columns.append(_Running(row[-1]))
+            # g_n = -sum_{k<n} g_k B(n, k) / b with b = B(n, n)
+            nums, rden = _lift(row[:-1])
+            acc = sum(map(mul, g.nums, nums))
+            b = row[-1]
+            taylor.append(Fraction(-acc * b.denominator, g.den * rden * b.numerator))
+            g.append(taylor[-1])
+        return TruncatedSeries(
+            [Fraction(0)] + [t / math.factorial(m) for m, t in enumerate(taylor, 1)]
+        )
 
     # ------------------------------------------------------------------
     # presentation and serialization

@@ -124,6 +124,13 @@ def test_recurrences_match_reversion():
         assert by_recurrence.coeffs == inverse_series(kind, 60).coeffs
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["exp", "log"])
+def test_recurrences_match_reversion_at_order_201(kind):
+    by_recurrence = inverse_series_by_recurrence(kind, 201)
+    assert by_recurrence.coeffs == inverse_series(kind, 201).coeffs
+
+
 def test_recurrence_guards():
     with pytest.raises(ValueError):
         inverse_series_by_recurrence("exp", 0)

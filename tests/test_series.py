@@ -559,6 +559,30 @@ def test_recurrences_match_schoolbook_at_order_60():
     assert list(alternating.inverse().coeffs) == _naive_inverse(alternating.coeffs)
 
 
+def _lifted_root(kernel):
+    """x * sqrt(kernel), the series whose reversion gives the inverse series."""
+    root = kernel.power_rational(Fraction(1, 2))
+    return TruncatedSeries((Fraction(0),) + root.coeffs, order=kernel.order + 1)
+
+
+@pytest.mark.parametrize("kernel", [exp_kernel, log_kernel])
+def test_reversion_of_kernel_root_matches_schoolbook_at_order_53(kernel):
+    # the order coeffs --max 26 reverts at, where the Bell triangle's
+    # columns rescale many times
+    lifted = _lifted_root(kernel(52))
+    assert list(lifted.reversion().coeffs) == _naive_reversion(lifted.coeffs)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kernel", [exp_kernel, log_kernel])
+def test_reversion_of_kernel_root_composes_to_x_at_order_121(kernel):
+    lifted = _lifted_root(kernel(120))
+    inverse = lifted.reversion()
+    x = TruncatedSeries.x(121)
+    assert inverse.compose(lifted) == x
+    assert lifted.compose(inverse) == x
+
+
 def test_power_minus_one_is_the_inverse():
     f = TruncatedSeries([1, Fraction(-2, 3), Fraction(5, 7), 0, Fraction(1, 9)])
     assert f.power_rational(-1) == f.inverse()
