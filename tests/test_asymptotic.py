@@ -10,7 +10,6 @@ from stirlingexp import asymptotic
 from stirlingexp.asymptotic import (
     ApproxReport,
     approx_factorial,
-    composite_gauss,
     expansion_vs_quadrature,
     quadrature_integrand,
     reciprocal_consistency,
@@ -51,16 +50,16 @@ def test_integrand_is_even():
                 assert left == right
 
 
-def test_half_interval_doubled_equals_full():
+def test_integrand_is_two_pi_periodic():
+    # for integer n, n(sin u - u) moves by 2 pi n when u moves by 2 pi
     with mp.workprec(140):
-        limit = mp.pi * mp.sqrt(6)
-
-        def f(theta):
-            return quadrature_integrand(6, theta)
-
-        full = composite_gauss(f, -limit, limit, 32)
-        half = composite_gauss(f, mp.mpf(0), limit, 32)
-        assert abs(full - 2 * half) < mpmath.mpf(2) ** -110
+        for n in (1, 6, 12):
+            for t in ("0", "0.37", "-1.91", "2.6"):
+                u = mp.mpf(t)
+                shifted = asymptotic._integrand_at(n, u + 2 * mp.pi)
+                assert abs(shifted - asymptotic._integrand_at(n, u)) <= (
+                    mpmath.mpf(2) ** -125
+                ), (n, t)
 
 
 def test_integrand_matches_the_complex_form():
@@ -74,24 +73,46 @@ def test_integrand_matches_the_complex_form():
                 assert abs(got - expected) <= mpmath.mpf(2) ** -125, (n, t)
 
 
+def _record_points(monkeypatch) -> list:
+    """The points u at which the quadrature evaluates its integrand."""
+    points = []
+    original = asymptotic._integrand_at
+
+    def recording(n, u):
+        points.append(u)
+        return original(n, u)
+
+    monkeypatch.setattr(asymptotic, "_integrand_at", recording)
+    return points
+
+
 @pytest.mark.parametrize(
     "n, bits, full_panels",
-    [(1, 128, (8, 16)), (20, 128, (8, 16)), (30, 256, (8, 16, 32, 64))],
+    [
+        (1, 128, (8, 16, 32, 64)),
+        (20, 128, (8, 16, 32, 64, 128)),
+        (30, 256, (8, 16, 32, 64, 128, 256)),
+    ],
 )
 def test_quadrature_panel_sequence_on_the_half_range(
     monkeypatch, n, bits, full_panels
 ):
-    calls = []
-    original = asymptotic.composite_gauss
-
-    def recording(f, lo, hi, panels, points=20):
-        calls.append((lo, panels))
-        return original(f, lo, hi, panels, points)
-
-    monkeypatch.setattr(asymptotic, "composite_gauss", recording)
+    points = _record_points(monkeypatch)
     stirling_ratio_quadrature(n, bits)
-    assert all(lo == 0 for lo, _ in calls)
-    assert tuple(2 * panels for _, panels in calls) == full_panels
+    # every point is evaluated once, and only on [0, pi]
+    assert len(set(points)) == len(points) == full_panels[-1] // 2 + 1
+    with mp.workprec(bits + asymptotic._GUARD_BITS):
+        assert all(0 <= u <= mp.pi for u in points)
+    # each pass adds only the midpoints of the one before, so the first
+    # P/2 + 1 points are the grid of P full-range panels
+    with mp.workprec(bits):
+        for panels in full_panels:
+            half = panels // 2
+            grid = sorted(u * half / mp.pi for u in points[: half + 1])
+            assert all(
+                abs(x - j) <= mpmath.mpf(2) ** -(bits // 2)
+                for j, x in enumerate(grid)
+            ), panels
 
 
 @pytest.mark.parametrize("n, bits", [(1, 128), (7, 128), (20, 128), (30, 256)])
@@ -99,6 +120,38 @@ def test_quadrature_within_the_convergence_tolerance(n, bits):
     quad = stirling_ratio_quadrature(n, bits)
     exact = stirling_ratio_exact(n, bits)
     assert abs(quad - exact) <= mpmath.mpf(2) ** -(bits // 2)
+
+
+_TWO_ULP_CASES = [(n, 128) for n in range(1, 51)] + [(30, 256), (40, 256), (50, 256)]
+
+
+@pytest.mark.parametrize("n, bits", _TWO_ULP_CASES)
+def test_quadrature_within_two_ulps_of_the_exact_ratio(n, bits):
+    quad = stirling_ratio_quadrature(n, bits)
+    exact = stirling_ratio_exact(n, bits)
+    assert abs(quad - exact) / exact <= mpmath.mpf(2) ** -(bits - 2)
+
+
+@pytest.mark.parametrize("n", [1, 20])
+def test_a_perturbed_integrand_misses_the_two_ulp_bound(monkeypatch, n):
+    original = asymptotic._integrand_at
+    monkeypatch.setattr(
+        asymptotic,
+        "_integrand_at",
+        lambda n, u: original(n, u) * (1 + mpmath.mpf(10) ** -30),
+    )
+    quad = stirling_ratio_quadrature(n, 128)
+    exact = stirling_ratio_exact(n, 128)
+    # a relative error of 10^-30, about 2^-99.7: the 2^-64 bound of the
+    # test above cannot see it, the two-ulp bound does
+    assert abs(quad - exact) / exact > mpmath.mpf(2) ** -126
+    assert abs(quad - exact) <= mpmath.mpf(2) ** -64
+
+
+@pytest.mark.parametrize("n", [10**5, pytest.param(10**6, marks=pytest.mark.slow)])
+def test_quadrature_settles_at_large_n(n):
+    quad = stirling_ratio_quadrature(n, 128)
+    assert abs(quad - stirling_ratio_exact(n, 128)) <= mpmath.mpf(2) ** -64
 
 
 @pytest.mark.parametrize("panels", [3, 7, 9])
@@ -120,31 +173,19 @@ def test_quadrature_non_finite_integrand_raises(monkeypatch):
 
 
 def test_quadrature_that_does_not_settle_raises(monkeypatch):
-    # n = 30 at 256 bits settles only at 64 full-range panels
-    half_panels = []
-    original = asymptotic.composite_gauss
-
-    def recording(f, lo, hi, panels, points=20):
-        half_panels.append(panels)
-        return original(f, lo, hi, panels, points)
-
-    monkeypatch.setattr(asymptotic, "composite_gauss", recording)
+    # n = 30 at 256 bits settles only at 256 full-range panels
+    points = _record_points(monkeypatch)
     monkeypatch.setattr(asymptotic, "_MAX_PANELS", 16)
     with pytest.raises(ArithmeticError, match="failed to settle within 16 panels"):
         stirling_ratio_quadrature(30, 256)
-    # 8 half-range panels are 16 full-range ones: nothing past the cap
-    assert max(half_panels) == 8
+    # 16 full-range panels are 9 points on the half range: nothing past the cap
+    assert len(points) == 9
 
 
 def test_quadrature_rejects_panels_above_the_cap(monkeypatch):
     monkeypatch.setattr(asymptotic, "_MAX_PANELS", 16)
     with pytest.raises(ValueError, match="<= 16"):
         stirling_ratio_quadrature(5, 128, 32)
-
-
-def test_composite_gauss_rejects_zero_panels():
-    with pytest.raises(ValueError):
-        composite_gauss(lambda t: t, mp.mpf(0), mp.mpf(1), 0)
 
 
 def test_classic_stirling_error_at_ten():
