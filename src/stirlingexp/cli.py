@@ -55,9 +55,12 @@ VERIFY_MAX_K = 110
 
 # ceiling on comb --max-n, for output size and for the 10 s budget above:
 # the table has about n^2/(2r) counts of up to 2568 digits (1000!), and
-# comb --r 1 --max-n 1000 --format json wrote 442 MB in 3.4 s for
-# partitions and 518 MB in 3.6 s for derangements, output discarded.
-# The counts are Decimals, so the int-to-str digit limit does not apply
+# comb --r 1 --max-n 1000 --format json, stdout to a file and
+# PYTHONUNBUFFERED=1, wrote 442 MB in 3.2 s for partitions and 518 MB in
+# 3.6 s for derangements (medians of five, pinned to one CPU; 3.7 and
+# 4.3 s with one write per count), at a peak RSS of 20.5 and 21.3 MB: the
+# largest row is about 2.6 MB of text.  The counts are Decimals, so the
+# int-to-str digit limit does not apply
 COMB_MAX_N = 1000
 
 # ceiling on approx --n: the report prints n! as an int, and n! up to
@@ -326,30 +329,35 @@ def _run_approx(args) -> int:
 
 
 def _write_comb(handle, r: int, rows, fmt: str, kind: str) -> None:
-    """Write the table's entries one at a time as the rows arrive.
+    """Write the table one row at a time, with one write per row.
 
     Head, line, separator and tail reproduce json.dumps(..., indent=2),
-    csv.writer and the plain lines of the whole table byte for byte,
-    without building the table or its text.
+    csv.writer and the plain lines of the whole table byte for byte.
+    Each row's text is built whole and written as soon as the row is
+    computed, so neither the table nor its text is ever held whole, and
+    a write-through stream (python -u) makes one system call per row,
+    not one per count.
     """
     head, separator, tail = "", "\n", "\n"
     if fmt == "json":
         head, separator, tail = "[\n", ",\n", "\n]\n"
         line = lambda n, k, value: (
             f'  {{\n    "r": {r},\n    "n": {n},\n    "k": {k},\n'
-            f'    "value": "{value}"\n  }}'
+            f'    "value": "{value!s}"\n  }}'
         )
     elif fmt == "csv":
         head = "r,n,k,value\n"
-        line = lambda n, k, value: f"{r},{n},{k},{value}"
+        line = lambda n, k, value: f"{r},{n},{k},{value!s}"
     else:
-        line = lambda n, k, value: f"{kind} r={r} n={n} k={k}: {value}"
+        line = lambda n, k, value: f"{kind} r={r} n={n} k={k}: {value!s}"
     handle.write(head)
-    lead = ""
+    parts = []
     for n, row in enumerate(rows):
-        for k, value in enumerate(row):
-            handle.write(lead + line(n, k, value))
-            lead = separator
+        parts += [line(n, k, value) for k, value in enumerate(row)]
+        handle.write(separator.join(parts))
+        # an empty first part puts the separator ahead of the next row
+        # without a second copy of its text
+        parts = [""]
     handle.write(tail)
 
 

@@ -1,6 +1,7 @@
 """Numeric behavior: quadrature accuracy, error scaling, precision plumbing."""
 
 import math
+import time
 
 import mpmath
 import pytest
@@ -152,6 +153,25 @@ def test_a_perturbed_integrand_misses_the_two_ulp_bound(monkeypatch, n):
 def test_quadrature_settles_at_large_n(n):
     quad = stirling_ratio_quadrature(n, 128)
     assert abs(quad - stirling_ratio_exact(n, 128)) <= mpmath.mpf(2) ** -64
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 5000])
+def test_exact_mpf_matches_the_direct_conversion(n):
+    factorial = math.factorial(n)
+    value = asymptotic._exact_mpf(factorial)
+    with mp.workprec(factorial.bit_length()):
+        assert value.man_exp == mp.mpf(factorial).man_exp
+    with mp.workprec(128):
+        assert mp.mpf(value).man_exp == mp.mpf(factorial).man_exp
+    assert int(value) == factorial
+
+
+def test_exact_ratio_at_large_n_takes_well_under_a_second():
+    # converting 100000! by mp.mpf alone took 0.9 s, the factorial itself
+    # takes about 0.2 s
+    start = time.perf_counter()
+    stirling_ratio_exact(10**5, 128)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("panels", [3, 7, 9])

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line front end.
 
-Every test drives ``cli.main`` directly with an argv list and inspects
-exit code, stdout, and stderr; nothing here shells out.
+Most tests drive ``cli.main`` directly with an argv list and inspect
+exit code, stdout, and stderr.  The comb writer is also driven with a
+counting handle, and run as ``python -u -m stirlingexp.cli`` in a
+subprocess, because capsys never writes through to a file.
 """
 
 import csv
@@ -9,9 +11,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -585,6 +590,45 @@ def test_comb_streamed_output_matches_the_materialised_table(
         assert code == 0
         assert written == ""
         assert target.read_bytes() == out.encode("utf-8")
+
+
+class _CountingText:
+    """A text stream that keeps what is written and counts the writes."""
+
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_comb_writes_once_per_row(fmt):
+    # head, one write per row and tail; one write per count made 37
+    max_n = 12
+    handle = _CountingText()
+    rows = combinat.comb_table(3, max_n, "partition")
+    cli._write_comb(handle, 3, rows, fmt, "partition")
+    assert len(handle.parts) <= max_n + 3
+    assert "".join(handle.parts) == _materialised_comb(3, max_n, "partition", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_comb_on_a_write_through_stdout_matches_the_materialised_table(fmt):
+    # python -u makes sys.stdout write through to the pipe on every write
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-u", "-m", "stirlingexp.cli", "comb", "--r", "2",
+         "--max-n", "12", "--format", fmt],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    expected = _materialised_comb(2, 12, "partition", fmt)
+    assert done.stdout == expected.encode("utf-8")
 
 
 class _Sha256Text:
