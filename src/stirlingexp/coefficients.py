@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Sequence
 
 from . import combinat
 from .series import (

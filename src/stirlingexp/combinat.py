@@ -28,11 +28,11 @@ from __future__ import annotations
 import decimal
 import math
 from collections import deque
+from collections.abc import Callable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice, permutations, repeat
-from typing import Callable, Iterator
 
 from .series import TruncatedSeries, _Running
 

@@ -31,10 +31,10 @@ programming error and rejected, not silently truncated.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import count
 from operator import mul
-from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "TruncatedSeries",
@@ -46,7 +46,7 @@ __all__ = [
     "DEFAULT_PRECISION_BITS",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 # default and least binary precision of asymptotic's numeric validation;
 # kept here, away from mpmath, so that the CLI can use them without it

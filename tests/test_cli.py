@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from stirlingexp import asymptotic, cli, coefficients, combinat, identities
+from stirlingexp import (
+    asymptotic, cli, coefficients, combinat, identities, series,
+)
 from stirlingexp.coefficients import COEFF_METHODS
 from stirlingexp.identities import report_from_pairs
 from stirlingexp.series import TruncatedSeries, parse_rational
@@ -132,7 +134,7 @@ def test_size_above_the_ceiling_is_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("work started above the ceiling")
 
     for module, name in [(coefficients, "verify_all"), (identities, "run_all"),
-                         (coefficients, "inverse_series"), (cli, "exp_kernel"),
+                         (coefficients, "inverse_series"), (series, "exp_kernel"),
                          (asymptotic, "approx_factorial")]:
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, argv)
@@ -266,7 +268,7 @@ def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):
     def fake_run_all(max_index):
         return [broken]
 
-    monkeypatch.setattr(cli.identities, "run_all", fake_run_all)
+    monkeypatch.setattr(identities, "run_all", fake_run_all)
     code, out, err = run_cli(capsys, ["verify", "--max", "6"])
     assert code == 1
     assert "FAIL sum-identity" in out

@@ -1,5 +1,6 @@
 """What each command imports, and the public names of the package."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -13,9 +14,10 @@ from stirlingexp import asymptotic, identities
 SRC = str(Path(stirlingexp.__file__).resolve().parent.parent)
 
 # imports the package, runs the CLI on the given arguments (if any) with
-# its output discarded, and prints which of mpmath, dataclasses and
-# inspect got loaded.  mpmath is for approx alone; dataclasses and
-# inspect (12-15 ms of start-up together) are for no command
+# its output discarded, and prints which stirlingexp submodules and which
+# of mpmath, dataclasses, inspect, fractions and decimal got loaded.
+# mpmath is for approx alone; dataclasses and inspect (12-15 ms of
+# start-up together) are for no command
 PROBE = """
 import contextlib, io, sys
 import stirlingexp
@@ -26,7 +28,10 @@ if sys.argv[1:]:
             cli.main(sys.argv[1:])
         except SystemExit:
             pass
-print(*(m for m in ("mpmath", "dataclasses", "inspect") if m in sys.modules))
+watched = ("mpmath", "dataclasses", "inspect", "fractions", "decimal")
+print(*sorted(
+    m for m in sys.modules if m in watched or m.startswith("stirlingexp.")
+))
 """
 
 
@@ -45,24 +50,51 @@ def _fresh(code, *args):
     return done.stdout
 
 
+def _loaded(*argv):
+    """What PROBE reports loaded after running the CLI on argv."""
+    return set(_fresh(PROBE, *argv).split())
+
+
+COEFFS = ["coeffs", "--max", "6"]
+SERIES = ["series", "--which", "inv-exp", "--order", "6"]
+COMB = ["comb", "--r", "3", "--max-n", "9", "--kind", "derangement"]
+VERIFY = ["verify", "--max", "4"]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        [],
-        ["coeffs", "--max", "6"],
-        ["series", "--which", "inv-exp", "--order", "6"],
-        ["comb", "--r", "3", "--max-n", "9", "--kind", "derangement"],
-        ["verify", "--max", "4"],
-        ["approx", "--help"],
-    ],
+    [[], COEFFS, SERIES, COMB, VERIFY, ["approx", "--help"]],
     ids=lambda argv: "-".join(argv[:2]) or "import",
 )
 def test_exact_commands_start_without_mpmath(argv):
-    assert _fresh(PROBE, *argv) == "\n"
+    assert _loaded(*argv) & {"mpmath", "dataclasses", "inspect"} == set()
+
+
+def test_import_loads_no_submodule():
+    # every public name resolves on first use, so a bare import compiles
+    # and runs none of the layers
+    assert _loaded() == set()
+
+
+@pytest.mark.parametrize(
+    "argv, checkers",
+    [
+        (COEFFS, set()),
+        (SERIES, set()),
+        (COMB, set()),
+        (VERIFY, {"stirlingexp.identities"}),
+    ],
+    ids=["coeffs", "series", "comb", "verify"],
+)
+def test_exact_commands_load_identities_only_for_verify(argv, checkers):
+    loaded = _loaded(*argv)
+    assert loaded & {"stirlingexp.identities", "stirlingexp.asymptotic"} == checkers
 
 
 def test_approx_loads_mpmath():
-    assert _fresh(PROBE, "approx", "--n", "5") == "mpmath\n"
+    loaded = _loaded("approx", "--n", "5")
+    assert {"mpmath", "stirlingexp.asymptotic"} <= loaded
+    assert loaded & {"dataclasses", "inspect"} == set()
 
 
 @pytest.mark.parametrize(
@@ -77,6 +109,19 @@ def test_approx_loads_mpmath():
 )
 def test_numeric_names_resolve_to_the_asymptotic_objects(name):
     assert getattr(stirlingexp, name) is getattr(asymptotic, name)
+    assert name in dir(stirlingexp)
+
+
+@pytest.mark.parametrize("name", stirlingexp.__all__)
+def test_every_public_name_resolves_to_its_home_object(name):
+    value = getattr(stirlingexp, name)
+    if name in ("series", "combinat", "coefficients", "identities", "asymptotic"):
+        assert value is importlib.import_module(f"stirlingexp.{name}")
+    else:
+        home = importlib.import_module(f"stirlingexp.{stirlingexp._HOME[name]}")
+        assert value is getattr(home, name)
+        # the home defines the object; it does not merely import it
+        assert getattr(value, "__module__", home.__name__) == home.__name__
     assert name in dir(stirlingexp)
 
 

@@ -38,10 +38,12 @@ def _imported_modules(node):
 # module -> the package files that may import it.  The exact layers
 # start without mpmath; only the numeric validation needs it.  No file
 # imports dataclasses, which with inspect would cost every command's
-# start-up about 12-15 ms
+# start-up about 12-15 ms, or typing: the annotations take their ABCs
+# from collections.abc
 RESTRICTED_IMPORTS = {
     "mpmath": {"asymptotic.py"},
     "dataclasses": set(),
+    "typing": set(),
 }
 
 
