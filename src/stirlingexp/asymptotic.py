@@ -13,11 +13,7 @@ it):
     2014); with N panels its relative error is exactly
     sum_{m = n mod N, m != n} n^(m-n) n!/m!.  The integrand is even, so
     only the half range is evaluated, with half the panels, and the
-    result doubled; `panels` always counts panels on the full range and
-    must be even and at least 2 (ValueError otherwise).
-
-reciprocal_consistency works purely in rationals; it is defined in
-identities and re-exported here.
+    result doubled.
 
 The expansion is divergent for fixed n, so truncation indices are always
 caller-supplied; nothing here auto-selects an order.
@@ -33,21 +29,17 @@ from fractions import Fraction
 # modules are compiled on import, and compiled after mpmath has loaded
 # they raised the peak RSS of a numeric session by 1.0 MB
 from .coefficients import expansion_coefficients
-from .identities import reciprocal_consistency
 from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, _lift
 
 import mpmath
 from mpmath import mp
 
 __all__ = [
-    "DEFAULT_PRECISION_BITS",
     "ApproxReport",
     "approx_factorial",
-    "quadrature_integrand",
     "stirling_ratio_quadrature",
     "stirling_ratio_exact",
     "expansion_vs_quadrature",
-    "reciprocal_consistency",
 ]
 
 # extra working bits so the final rounding to the requested precision is clean
@@ -58,6 +50,9 @@ _GUARD_BITS = 24
 # 65536 in about 2 s, and 1.6 * 10^7 fails after 1.9 s; a call
 # evaluates the integrand at most 32769 times
 _MAX_PANELS = 65536
+
+# full-range panels of the first pass; the count doubles from here
+_START_PANELS = 8
 
 
 def _decimal_digits(precision_bits: int) -> int:
@@ -157,32 +152,23 @@ def approx_factorial(
         )
 
 
-def quadrature_integrand(n: int, theta: mpmath.mpf) -> mpmath.mpf:
-    """Real part of exp(n(e^(i theta/sqrt n) - 1 - i theta/sqrt n)).
-
-    Written without complex arithmetic:
-    e^(n(cos u - 1)) * cos(n(sin u - u)) with u = theta/sqrt(n).
-    Evaluates at the caller's current mpmath precision.  It is even in
-    theta and, for integer n, entire and 2 pi-periodic in u: its Fourier
-    series is e^-n sum_m n^m/m! cos((m - n) u), which is why the
-    trapezoidal rule of stirling_ratio_quadrature converges geometrically
-    (Trefethen & Weideman, SIAM Review 56(3), 2014).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _integrand_at(n, theta / mp.sqrt(n))
-
-
 def _integrand_at(n: int, u: mpmath.mpf) -> mpmath.mpf:
-    """The integrand at u = theta/sqrt(n), with one cos_sin evaluation."""
+    """Real part of exp(n(e^(iu) - 1 - iu)), at u = theta/sqrt(n).
+
+    Written without complex arithmetic, with one cos_sin evaluation:
+    e^(n(cos u - 1)) * cos(n(sin u - u)).  Evaluates at the caller's
+    current mpmath precision.  It is even in u and, for integer n,
+    entire and 2 pi-periodic: its Fourier series is
+    e^-n sum_m n^m/m! cos((m - n) u), which is why the trapezoidal rule
+    of stirling_ratio_quadrature converges geometrically (Trefethen &
+    Weideman, SIAM Review 56(3), 2014).
+    """
     cos_u, sin_u = mp.cos_sin(u)
     return mp.exp(n * (cos_u - 1)) * mp.cos(n * (sin_u - u))
 
 
 def stirling_ratio_quadrature(
-    n: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    panels: int = 8,
+    n: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> mpmath.mpf:
     """The ratio sqrt(2 pi n) e^-n n^n / n! by numeric integration.
 
@@ -197,24 +183,20 @@ def stirling_ratio_quadrature(
     while N is below about sqrt(n) and then falls faster than
     geometrically, so the doubling test below cannot settle early.  The
     integrand is even, so only the half range [0, pi] is evaluated, with
-    panels // 2 panels.
+    half the panels.
 
-    `panels` counts panels on the full range: it must be even, at least
-    2 and at most _MAX_PANELS (otherwise ValueError).  The panel count
-    doubles, never past _MAX_PANELS, until two successive full-range
-    results agree to 2^-(precision_bits/2); each doubling evaluates only
-    the new midpoints, so a run ending at P panels evaluates the
-    integrand P/2 + 1 times.  Failure to settle, or a non-finite
+    The full-range panel count starts at _START_PANELS and doubles, never
+    past _MAX_PANELS, until two successive full-range results agree to
+    2^-(precision_bits/2); each doubling evaluates only the new
+    midpoints, so a run ending at P panels evaluates the integrand
+    P/2 + 1 times.  Failure to settle, or a non-finite
     intermediate, raises ArithmeticError.  The result is the full-range
     integral divided by sqrt(2 pi).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if panels < 2 or panels % 2:
-        raise ValueError(f"panels must be even and >= 2, got {panels}")
-    if panels > _MAX_PANELS:
-        raise ValueError(f"panels must be <= {_MAX_PANELS}, got {panels}")
     _require_precision(precision_bits)
+    panels = _START_PANELS
     tolerance = mpmath.mpf(2) ** -(precision_bits // 2)
     with mp.workprec(precision_bits + _GUARD_BITS):
         # twice the half range, taken back from u to theta

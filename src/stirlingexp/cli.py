@@ -23,7 +23,6 @@ from .coefficients import COEFF_METHODS
 
 import argparse
 import contextlib
-import csv
 import io
 import json
 import os
@@ -192,11 +191,9 @@ def _emit(text: str, handle: io.TextIOBase) -> None:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    # no field (an int, a p/q rational, a method or column name, mpmath
+    # nstr text) holds a comma, quote or newline, so none needs quoting
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
 
 
 def _run_coeffs(args) -> int:

@@ -225,12 +225,9 @@ def coeff_via_bernoulli(k: int) -> Fraction:
     """a_k from exponentiating the classical Bernoulli correction series.
 
     The exponent is sum_{m>=1} B_2m / (2m (2m-1)) x^(2m-1); a_k is the
-    k-th ordinary coefficient of its exponential.
+    k-th ordinary coefficient of its exponential, cut at order k.
     """
-    _require_index(k)
-    if k == 0:
-        return Fraction(1)
-    return _bernoulli_exponent(k).exp()[k]
+    return expansion_coefficients(k)[k]
 
 
 @cache
@@ -287,8 +284,7 @@ def inverse_series_by_recurrence(kind: str, order: int) -> TruncatedSeries:
 def expansion_coefficients(index_max: int) -> list[Fraction]:
     """a_0 .. a_index_max by the cheapest closed route (Bernoulli series).
 
-    One exponential of order index_max yields every coefficient at once;
-    coeff_via_bernoulli(k) is the same series cut at order k.
+    One exponential of order index_max yields every coefficient at once.
     """
     _require_index(index_max)
     return list(_bernoulli_exponent(index_max).exp().coeffs)

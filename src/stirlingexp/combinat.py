@@ -31,7 +31,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import count, islice, permutations, repeat
 
 from .series import TruncatedSeries, _Running
@@ -147,16 +147,15 @@ def derangement_assoc(r: int, n: int, k: int) -> int:
 
 def _count_from_series(
     symbol: str, r: int, l: int, j: int, order: int,
-    full: Callable[[int], TruncatedSeries], head_term: Callable[[int], Fraction],
+    term: Callable[[int], Fraction],
 ) -> int:
-    """l! * [x^l] of (full - sum_{i<r} head_term(i) x^i)^j / j!, an integer."""
+    """l! * [x^l] of (sum_{i>=r} term(i) x^i)^j / j!, an integer."""
     _validate(r, l=l, j=j)
     if l > order:
         raise ValueError(f"extraction index {l} exceeds series order {order}")
-    head = TruncatedSeries(
-        [head_term(i) for i in range(min(r, order + 1))], order=order
+    base = TruncatedSeries(
+        [term(i) if i >= r else Fraction(0) for i in range(order + 1)], order=order
     )
-    base = full(order) - head
     value = (base**j / math.factorial(j)).egf_coefficient(l)
     if value.denominator != 1:
         raise ArithmeticError(
@@ -171,9 +170,7 @@ def stirling2_from_series(r: int, l: int, j: int, order: int) -> int:
     Independent generating-series route to stirling2_assoc(r, l, j).
     """
     return _count_from_series(
-        "S", r, l, j, order,
-        lambda order: TruncatedSeries.x(max(order, 1)).exp().truncate(order),
-        lambda i: Fraction(1, math.factorial(i)),
+        "S", r, l, j, order, lambda i: Fraction(1, math.factorial(i))
     )
 
 
@@ -182,26 +179,23 @@ def derangement_from_series(r: int, l: int, j: int, order: int) -> int:
 
     Independent generating-series route to derangement_assoc(r, l, j).
     """
-    return _count_from_series(
-        "D", r, l, j, order,
-        lambda order: -((-TruncatedSeries.x(max(order, 1)).truncate(order)).log1p()),
-        lambda i: Fraction(1, i) if i else Fraction(0),
-    )
+    return _count_from_series("D", r, l, j, order, lambda i: Fraction(1, i))
 
 
-def _set_partitions(n: int) -> Iterator[list[list[int]]]:
+def _set_partitions(n: int) -> list[list[list[int]]]:
     """All partitions of {0, ..., n-1}, built by inserting elements in turn."""
-    if n == 0:
-        yield []
-        return
-    for smaller in _set_partitions(n - 1):
-        element = n - 1
-        for i in range(len(smaller)):
-            yield smaller[:i] + [smaller[i] + [element]] + smaller[i + 1 :]
-        yield smaller + [[element]]
+    partitions: list[list[list[int]]] = [[]]
+    for element in range(n):
+        grown = []
+        for blocks in partitions:
+            for i in range(len(blocks)):
+                grown.append(blocks[:i] + [blocks[i] + [element]] + blocks[i + 1 :])
+            grown.append(blocks + [[element]])
+        partitions = grown
+    return partitions
 
 
-@lru_cache(maxsize=None)
+@cache
 def _partition_tally(r: int, n: int) -> tuple[int, ...]:
     """tally[k] = partitions of an n-set into k blocks, all of size >= r."""
     tally = [0] * (n + 1)
@@ -225,7 +219,7 @@ def _cycle_lengths(perm: tuple[int, ...]) -> Iterator[int]:
         yield length
 
 
-@lru_cache(maxsize=None)
+@cache
 def _cycle_tally(r: int, n: int) -> tuple[int, ...]:
     """tally[k] = permutations of an n-set with k cycles, all of length >= r."""
     tally = [0] * (n + 1)

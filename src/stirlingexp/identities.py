@@ -43,8 +43,6 @@ __all__ = [
     "report_from_pairs",
     "check_sum_identity",
     "check_generalized_sum_identity",
-    "generalized_partition_sum",
-    "generalized_derangement_sum",
     "check_inverse_difference",
     "check_implicit_equations",
     "check_differential_equations",

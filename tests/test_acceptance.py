@@ -139,6 +139,6 @@ def test_criterion_8_remainder_scaling(capsys):
 
 
 def test_criterion_9_reciprocal_consistency(capsys):
-    report = asymptotic.reciprocal_consistency(20)
+    report = identities.reciprocal_consistency(20)
     ok = report.ok and report.hi == 20
     _verdict(capsys, "reciprocal of alternating series returns the expansion, k <= 20", ok)

@@ -91,6 +91,20 @@ def test_exact_commands_load_identities_only_for_verify(argv, checkers):
     assert loaded & {"stirlingexp.identities", "stirlingexp.asymptotic"} == checkers
 
 
+def test_numeric_layer_loads_no_checker():
+    # asymptotic needs the coefficients, not the identity checks
+    code = (
+        "import sys, stirlingexp.asymptotic\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('stirlingexp.')))\n"
+    )
+    assert set(_fresh(code).split()) == {
+        "stirlingexp.series",
+        "stirlingexp.combinat",
+        "stirlingexp.coefficients",
+        "stirlingexp.asymptotic",
+    }
+
+
 def test_approx_loads_mpmath():
     loaded = _loaded("approx", "--n", "5")
     assert {"mpmath", "stirlingexp.asymptotic"} <= loaded
@@ -127,7 +141,7 @@ def test_every_public_name_resolves_to_its_home_object(name):
 
 def test_reciprocal_check_has_one_definition():
     assert stirlingexp.reciprocal_consistency is identities.reciprocal_consistency
-    assert asymptotic.reciprocal_consistency is identities.reciprocal_consistency
+    assert not hasattr(asymptotic, "reciprocal_consistency")
 
 
 def test_unknown_attribute_raises_attribute_error():

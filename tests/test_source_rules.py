@@ -83,9 +83,29 @@ def test_no_term_by_term_fraction_sum():
     assert found == []
 
 
+def _top_level_definitions(path):
+    """Names a module binds by a top-level def, class or assignment."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {
+                leaf.id
+                for target in targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            }
+    return names
+
+
 def test_every_exported_name_is_bound():
     # a deleted function cannot stay behind in an export list: each name
-    # in a module's __all__ resolves there, so its star import succeeds
+    # in a module's __all__ resolves there, so its star import succeeds.
+    # A layer exports only what it defines itself, so every name has one
+    # home; the package root resolves each name to that home on first use
     paths = sorted(Path(stirlingexp.__file__).parent.glob("*.py"))
     for path in paths:
         name = "stirlingexp"
@@ -97,6 +117,26 @@ def test_every_exported_name_is_bound():
         namespace = {}
         exec(f"from {name} import *", namespace)
         assert set(exported) <= set(namespace), name
+        if path.stem != "__init__":
+            defined = _top_level_definitions(path)
+            assert [n for n in exported if n not in defined] == [], name
+
+
+def test_no_function_calls_itself():
+    # no recursion where a loop would do: a recursive call costs a frame
+    # per level and stops at the interpreter's recursion limit
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, node in _package_nodes()
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == node.name
+            for call in ast.walk(node)
+        )
+    ]
+    assert found == []
 
 
 # TruncatedSeries methods that are one first-order recurrence, solved by
