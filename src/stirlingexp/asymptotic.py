@@ -80,6 +80,11 @@ def _exact_mpf(value: int) -> mpmath.mpf:
         return mp.mpf((mantissa, zeros))
 
 
+def _prefactor(n: int) -> mpmath.mpf:
+    """sqrt(2 pi n) e^-n n^n at the caller's working precision."""
+    return mp.sqrt(2 * mp.pi * n) * mp.exp(-n) * mp.mpf(n) ** n
+
+
 def _sum_over_powers(coeffs: list[Fraction], x: int) -> Fraction:
     """sum_k coeffs[k] / x^k, by Horner's rule on integer numerators."""
     nums, den = _lift(coeffs)
@@ -136,8 +141,7 @@ def approx_factorial(
     exact = math.factorial(n)
     exact_mpf = _exact_mpf(exact)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        prefactor = mp.sqrt(2 * mp.pi * n) * mp.exp(-n) * mp.mpf(n) ** n
-        approx = prefactor * mp.mpf(tail.numerator) / mp.mpf(tail.denominator)
+        approx = _prefactor(n) * mp.mpf(tail.numerator) / mp.mpf(tail.denominator)
         rel_error = abs(approx - exact_mpf) / mp.mpf(exact_mpf)
         scaled_error = rel_error * mp.mpf(n) ** (terms + 1)
     with mp.workprec(precision_bits):
@@ -235,12 +239,7 @@ def stirling_ratio_exact(
         raise ValueError(f"n must be >= 1, got {n}")
     _require_precision(precision_bits)
     with mp.workprec(precision_bits + _GUARD_BITS):
-        value = (
-            mp.sqrt(2 * mp.pi * n)
-            * mp.exp(-n)
-            * mp.mpf(n) ** n
-            / mp.mpf(_exact_mpf(math.factorial(n)))
-        )
+        value = _prefactor(n) / mp.mpf(_exact_mpf(math.factorial(n)))
         with mp.workprec(precision_bits):
             return +value
 

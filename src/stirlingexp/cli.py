@@ -14,9 +14,9 @@ from __future__ import annotations
 
 # what build_parser needs; each runner imports the modules it runs.
 # Ahead of the standard library on purpose: where bytecode is not
-# cached, these modules are compiled on import, and compiled after
-# argparse, csv and json had loaded they raised the peak RSS of coeffs
-# and verify by 0.15-0.23 MB (0.02-0.09 MB when compiled first)
+# cached, these modules are compiled on import, and compiled after the
+# standard-library modules below had loaded they raised the peak RSS of
+# coeffs and verify by 0.15-0.23 MB (0.02-0.09 MB when compiled first)
 from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS
 from .combinat import KINDS
 from .coefficients import COEFF_METHODS

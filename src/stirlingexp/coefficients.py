@@ -71,16 +71,6 @@ __all__ = [
 
 KERNELS = ("exp", "log")
 
-# methods that produce the expansion coefficients a_k themselves
-COEFF_METHODS = (
-    "exp-kernel",
-    "log-kernel",
-    "partition-sum",
-    "derangement-sum",
-    "bernoulli",
-    "inverse-table",
-)
-
 
 def _kernel(kind: str, order: int) -> TruncatedSeries:
     if kind == "exp":
@@ -297,6 +287,9 @@ _METHOD_FUNCS = {
     "derangement-sum": coeff_via_derangement_sum,
     "bernoulli": coeff_via_bernoulli,
 }
+
+# methods that produce the expansion coefficients a_k themselves
+COEFF_METHODS = (*_METHOD_FUNCS, "inverse-table")
 
 
 def coefficient_table(method: str, index_max: int) -> CoeffTable:

@@ -45,6 +45,7 @@ __all__ = [
     "ENUMERATION_LIMIT",
     "bernoulli",
     "comb_table",
+    "KINDS",
 ]
 
 # brute-force enumeration walks all set partitions / permutations, so n

@@ -1,4 +1,8 @@
-"""What each command imports, and the public names of the package."""
+"""What each command imports, and where each public name lives.
+
+The package root defines only its version; every public name is reached
+through the one submodule that defines and exports it.
+"""
 
 import importlib
 import os
@@ -71,8 +75,8 @@ def test_exact_commands_start_without_mpmath(argv):
 
 
 def test_import_loads_no_submodule():
-    # every public name resolves on first use, so a bare import compiles
-    # and runs none of the layers
+    # the root imports nothing, so a bare import compiles and runs none
+    # of the layers
     assert _loaded() == set()
 
 
@@ -111,74 +115,53 @@ def test_approx_loads_mpmath():
     assert loaded & {"dataclasses", "inspect"} == set()
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "ApproxReport",
-        "approx_factorial",
-        "stirling_ratio_quadrature",
-        "stirling_ratio_exact",
-        "expansion_vs_quadrature",
-    ],
-)
-def test_numeric_names_resolve_to_the_asymptotic_objects(name):
-    assert getattr(stirlingexp, name) is getattr(asymptotic, name)
-    assert name in dir(stirlingexp)
+LAYERS = ("series", "combinat", "coefficients", "identities", "asymptotic")
+
+# (layer, name) for every name a layer exports
+EXPORTS = [
+    (layer, name)
+    for layer in LAYERS
+    for name in importlib.import_module(f"stirlingexp.{layer}").__all__
+]
 
 
-@pytest.mark.parametrize("name", stirlingexp.__all__)
+@pytest.mark.parametrize("name", [*LAYERS, *sorted(name for _, name in EXPORTS)])
 def test_every_public_name_resolves_to_its_home_object(name):
-    value = getattr(stirlingexp, name)
-    if name in ("series", "combinat", "coefficients", "identities", "asymptotic"):
-        assert value is importlib.import_module(f"stirlingexp.{name}")
-    else:
-        home = importlib.import_module(f"stirlingexp.{stirlingexp._HOME[name]}")
-        assert value is getattr(home, name)
-        # the home defines the object; it does not merely import it
-        assert getattr(value, "__module__", home.__name__) == home.__name__
-    assert name in dir(stirlingexp)
+    if name in LAYERS:
+        # the import system binds a submodule on the package, no hook needed
+        namespace = {}
+        exec(f"from stirlingexp import {name}", namespace)
+        assert namespace[name] is importlib.import_module(f"stirlingexp.{name}")
+        return
+    # one layer exports the name, that layer defines it, and the package
+    # root does not alias it
+    (home,) = [layer for layer, exported in EXPORTS if exported == name]
+    module = importlib.import_module(f"stirlingexp.{home}")
+    value = getattr(module, name)
+    assert getattr(value, "__module__", module.__name__) == module.__name__
+    assert not hasattr(stirlingexp, name)
+
+
+def test_import_binds_only_the_version():
+    code = (
+        "import stirlingexp\n"
+        "print(*sorted(n for n in vars(stirlingexp) if not n.startswith('__')))\n"
+        "print(hasattr(stirlingexp, 'verify_all'))\n"
+        "from stirlingexp import coefficients, asymptotic\n"
+        "print(coefficients.verify_all.__module__, asymptotic.__name__)\n"
+    )
+    assert _fresh(code).splitlines() == [
+        "",
+        "False",
+        "stirlingexp.coefficients stirlingexp.asymptotic",
+    ]
 
 
 def test_reciprocal_check_has_one_definition():
-    assert stirlingexp.reciprocal_consistency is identities.reciprocal_consistency
+    assert identities.reciprocal_consistency.__module__ == identities.__name__
     assert not hasattr(asymptotic, "reciprocal_consistency")
 
 
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         stirlingexp.no_such_name
-
-
-# what `from stirlingexp import *` binds: every public function and class
-# of the layers, and the submodules they live in
-STAR_NAMES = [
-    "ApproxReport", "COEFF_METHODS", "CoeffTable", "IdentityReport",
-    "TruncatedSeries", "approx_factorial", "asymptotic", "bernoulli",
-    "check_derivative_vs_partition_sum", "check_differential_equations",
-    "check_generalized_sum_identity", "check_implicit_equations",
-    "check_inverse_difference", "check_sum_identity",
-    "coeff_via_bernoulli",
-    "coeff_via_derangement_sum", "coeff_via_exp_kernel",
-    "coeff_via_log_kernel", "coeff_via_partition_sum", "coefficients",
-    "combinat", "derangement_assoc", "derangement_from_series",
-    "enumerate_oracle", "exp_kernel", "expansion_coefficients",
-    "expansion_vs_quadrature", "format_rational", "identities",
-    "inverse_egf_by_lagrange", "inverse_series",
-    "inverse_series_by_recurrence", "log_kernel",
-    "parse_rational", "reciprocal_consistency", "series", "stirling2_assoc",
-    "stirling2_from_series", "stirling_ratio_exact",
-    "stirling_ratio_quadrature", "verify_all",
-]
-
-
-def test_star_import_binds_the_public_names():
-    code = (
-        "import stirlingexp\n"
-        "assert 'asymptotic' not in vars(stirlingexp)\n"
-        "assert stirlingexp.asymptotic.__name__ == 'stirlingexp.asymptotic'\n"
-        "namespace = {}\n"
-        "exec('from stirlingexp import *', namespace)\n"
-        "print(' '.join(sorted(set(namespace) - {'__builtins__'})))\n"
-    )
-    assert _fresh(code).split() == sorted(STAR_NAMES)
-    assert sorted(stirlingexp.__all__) == sorted(STAR_NAMES)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import stirlingexp
@@ -105,21 +106,34 @@ def test_every_exported_name_is_bound():
     # a deleted function cannot stay behind in an export list: each name
     # in a module's __all__ resolves there, so its star import succeeds.
     # A layer exports only what it defines itself, so every name has one
-    # home; the package root resolves each name to that home on first use
-    paths = sorted(Path(stirlingexp.__file__).parent.glob("*.py"))
-    for path in paths:
-        name = "stirlingexp"
-        if path.stem != "__init__":
-            name += "." + path.stem
+    # home
+    root = Path(stirlingexp.__file__).parent
+    for info in pkgutil.iter_modules(stirlingexp.__path__):
+        name = f"stirlingexp.{info.name}"
         module = importlib.import_module(name)
         exported = getattr(module, "__all__", [])
         assert [n for n in exported if not hasattr(module, n)] == [], name
         namespace = {}
         exec(f"from {name} import *", namespace)
         assert set(exported) <= set(namespace), name
-        if path.stem != "__init__":
-            defined = _top_level_definitions(path)
-            assert [n for n in exported if n not in defined] == [], name
+        defined = _top_level_definitions(root / f"{info.name}.py")
+        assert [n for n in exported if n not in defined] == [], name
+
+
+def test_every_name_taken_from_another_module_is_exported():
+    # __all__ is a layer's one list of its public names, so a public name
+    # that one module of the package imports from another is on its
+    # home's list; submodules (from . import x) and _private names are not
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.level and node.module:
+            home = importlib.import_module(f"stirlingexp.{node.module}")
+            found += [
+                f"{name}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if not alias.name.startswith("_") and alias.name not in home.__all__
+            ]
+    assert found == []
 
 
 def test_no_function_calls_itself():
