@@ -207,17 +207,14 @@ def _run_coeffs(args) -> int:
     with _data_out(args.output) as out:
         cross = coefficients.verify_all(args.max, methods)
         if args.format == "json":
-            payload = {
-                "index_max": args.max,
-                "agreed": cross.agreed,
-                "tables": [t.to_json_dict() for t in cross.tables],
-            }
+            payload = cross.to_json_dict()
+            del payload["mismatches"]
             _emit(json.dumps(payload, indent=2), out)
         elif args.format == "csv":
-            header = ["k"] + [t.method for t in cross.tables] + ["agree"]
+            header = ["k"] + [method for method, _ in cross.tables] + ["agree"]
             rows = [
                 [k]
-                + [format_rational(t[k]) for t in cross.tables]
+                + [format_rational(values[k]) for _, values in cross.tables]
                 + ["no" if k in cross.mismatches else "yes"]
                 for k in range(args.max + 1)
             ]
@@ -226,7 +223,8 @@ def _run_coeffs(args) -> int:
             lines = []
             for k in range(args.max + 1):
                 cells = ", ".join(
-                    f"{t.method}={format_rational(t[k])}" for t in cross.tables
+                    f"{method}={format_rational(values[k])}"
+                    for method, values in cross.tables
                 )
                 flag = "MISMATCH" if k in cross.mismatches else "ok"
                 lines.append(f"a_{k}: {cells} [{flag}]")
@@ -398,6 +396,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a route's own self-check failed (the inverse table's reversion
+        # against its recurrence); a subclass such as ZeroDivisionError
+        # is a bug and propagates
+        if type(exc) is not ArithmeticError:
+            raise
+        print(f"identity failure detected: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 
@@ -50,7 +50,6 @@ from .series import (
 )
 
 __all__ = [
-    "CoeffTable",
     "COEFF_METHODS",
     "KERNELS",
     "coeff_via_exp_kernel",
@@ -78,47 +77,6 @@ def _kernel(kind: str, order: int) -> TruncatedSeries:
     if kind == "log":
         return log_kernel(order)
     raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
-
-
-class CoeffTable:
-    """A coefficient sequence labelled with the method that produced it.
-
-    values[i] is the i-th coefficient.  The fields cannot be changed.
-    """
-
-    __slots__ = ("method", "values")
-
-    def __init__(self, method: str, values: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name: str, *_: object) -> None:
-        raise AttributeError(f"CoeffTable is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    @property
-    def index_max(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, index: int) -> Fraction:
-        if not 0 <= index <= self.index_max:
-            raise ValueError(
-                f"index {index} outside table range [0, {self.index_max}]"
-            )
-        return self.values[index]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "values": [format_rational(v) for v in self.values],
-        }
 
 
 def _require_index(k: int) -> None:
@@ -292,7 +250,7 @@ _METHOD_FUNCS = {
 COEFF_METHODS = (*_METHOD_FUNCS, "inverse-table")
 
 
-def coefficient_table(method: str, index_max: int) -> CoeffTable:
+def coefficient_table(method: str, index_max: int) -> tuple[Fraction, ...]:
     """a_0 .. a_index_max by the named method."""
     _require_index(index_max)
     if method == "inverse-table":
@@ -305,19 +263,22 @@ def coefficient_table(method: str, index_max: int) -> CoeffTable:
                     f"inverse-table routes disagree at x^{i}: reversion "
                     f"{series[i]}, recurrence {recurrence[i]}"
                 )
-        values = tuple(
+        return tuple(
             _from_inverse(series.egf_coefficient(2 * k + 1), k)
             for k in range(index_max + 1)
         )
-        return CoeffTable(method=method, values=values)
     if method not in _METHOD_FUNCS:
         raise ValueError(f"unknown method {method!r}; expected one of {COEFF_METHODS}")
     func = _METHOD_FUNCS[method]
-    return CoeffTable(method=method, values=tuple(func(k) for k in range(index_max + 1)))
+    return tuple(func(k) for k in range(index_max + 1))
 
 
 class CrossCheck(namedtuple("CrossCheck", "index_max tables mismatches")):
-    """Result of computing every coefficient by each of the given methods."""
+    """Result of computing every coefficient by each of the given methods.
+
+    tables holds one (method, values) pair per method, in the order asked
+    for; a method asked for twice has two pairs.
+    """
 
     __slots__ = ()
 
@@ -330,7 +291,10 @@ class CrossCheck(namedtuple("CrossCheck", "index_max tables mismatches")):
             "index_max": self.index_max,
             "agreed": self.agreed,
             "mismatches": list(self.mismatches),
-            "tables": [t.to_json_dict() for t in self.tables],
+            "tables": [
+                {"method": method, "values": [format_rational(v) for v in values]}
+                for method, values in self.tables
+            ],
         }
 
 
@@ -343,10 +307,10 @@ def verify_all(
     method gives the same a_k.
     """
     _require_index(index_max)
-    tables = tuple(coefficient_table(m, index_max) for m in methods)
+    tables = tuple((m, coefficient_table(m, index_max)) for m in methods)
     mismatches = tuple(
         k
         for k in range(index_max + 1)
-        if len({t[k] for t in tables}) != 1
+        if len({values[k] for _, values in tables}) != 1
     )
     return CrossCheck(index_max=index_max, tables=tables, mismatches=mismatches)

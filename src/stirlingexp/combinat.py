@@ -147,17 +147,18 @@ def derangement_assoc(r: int, n: int, k: int) -> int:
 
 
 def _count_from_series(
-    symbol: str, r: int, l: int, j: int, order: int,
-    term: Callable[[int], Fraction],
+    symbol: str, r: int, l: int, j: int, term: Callable[[int], Fraction]
 ) -> int:
-    """l! * [x^l] of (sum_{i>=r} term(i) x^i)^j / j!, an integer."""
+    """l! * [x^l] of (sum_{i>=r} term(i) x^i)^j / j!, an integer.
+
+    No power above x^l reaches the x^l coefficient, so the series is
+    built at order l.
+    """
     _validate(r, l=l, j=j)
-    if l > order:
-        raise ValueError(f"extraction index {l} exceeds series order {order}")
     base = TruncatedSeries(
-        [term(i) if i >= r else Fraction(0) for i in range(order + 1)], order=order
+        [term(i) if i >= r else Fraction(0) for i in range(l + 1)], order=l
     )
-    value = (base**j / math.factorial(j)).egf_coefficient(l)
+    value = (base**j).egf_coefficient(l) / math.factorial(j)
     if value.denominator != 1:
         raise ArithmeticError(
             f"series extraction of {symbol}_{r}({l}, {j}) is not an integer: {value}"
@@ -165,22 +166,22 @@ def _count_from_series(
     return int(value)
 
 
-def stirling2_from_series(r: int, l: int, j: int, order: int) -> int:
+def stirling2_from_series(r: int, l: int, j: int) -> int:
     """l! * [x^l] of (e^x - sum_{i<r} x^i/i!)^j / j!.
 
     Independent generating-series route to stirling2_assoc(r, l, j).
     """
     return _count_from_series(
-        "S", r, l, j, order, lambda i: Fraction(1, math.factorial(i))
+        "S", r, l, j, lambda i: Fraction(1, math.factorial(i))
     )
 
 
-def derangement_from_series(r: int, l: int, j: int, order: int) -> int:
+def derangement_from_series(r: int, l: int, j: int) -> int:
     """l! * [x^l] of (-log(1-x) - sum_{0<i<r} x^i/i)^j / j!.
 
     Independent generating-series route to derangement_assoc(r, l, j).
     """
-    return _count_from_series("D", r, l, j, order, lambda i: Fraction(1, i))
+    return _count_from_series("D", r, l, j, lambda i: Fraction(1, i))
 
 
 def _set_partitions(n: int) -> list[list[list[int]]]:

@@ -213,12 +213,7 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self._coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._require_same_order(other)
-            return TruncatedSeries(
-                [a - b for a, b in zip(self._coeffs, other._coeffs)]
-            )
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (TruncatedSeries, int, Fraction)):
             return self + (-other)
         return NotImplemented
 
@@ -246,14 +241,6 @@ class TruncatedSeries:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of a series by zero")
-            scale = as_fraction(other)
-            return TruncatedSeries([c / scale for c in self._coeffs])
-        return NotImplemented
 
     def __pow__(self, exponent: int):
         """Integer power by repeated squaring (exponent >= 0)."""

@@ -4,15 +4,11 @@ import pytest
 
 from stirlingexp import coefficients
 
-# the memoised functions; bound here so that a test that patches a
-# module name still has the real cache cleared
-MEMOISED = (
-    coefficients.coeff_via_exp_kernel,
-    coefficients.coeff_via_log_kernel,
-    coefficients.coeff_via_partition_sum,
-    coefficients.coeff_via_derangement_sum,
-    coefficients.coeff_via_bernoulli,
-    coefficients.inverse_series,
+# the memoised functions, every attribute of coefficients with a cache;
+# bound here so that a test that patches a module name still has the
+# real cache cleared
+MEMOISED = tuple(
+    func for func in vars(coefficients).values() if hasattr(func, "cache_clear")
 )
 
 

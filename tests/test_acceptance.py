@@ -95,10 +95,10 @@ def test_criterion_6_combinatorics_three_route_equivalence(capsys):
     for n in range(10):
         for k in range(n + 1):
             rec_s = combinat.stirling2_assoc(3, n, k)
-            ser_s = combinat.stirling2_from_series(3, n, k, n)
+            ser_s = combinat.stirling2_from_series(3, n, k)
             enu_s = combinat.enumerate_oracle(3, n, k, "partition")
             rec_d = combinat.derangement_assoc(3, n, k)
-            ser_d = combinat.derangement_from_series(3, n, k, n)
+            ser_d = combinat.derangement_from_series(3, n, k)
             enu_d = combinat.enumerate_oracle(3, n, k, "derangement")
             ok = ok and rec_s == ser_s == enu_s and rec_d == ser_d == enu_d
     ok = (

@@ -15,7 +15,7 @@ from stirlingexp.asymptotic import (
     stirling_ratio_exact,
     stirling_ratio_quadrature,
 )
-from stirlingexp.coefficients import CoeffTable, CrossCheck, coefficient_table, verify_all
+from stirlingexp.coefficients import CrossCheck, verify_all
 from stirlingexp.identities import (
     IdentityReport,
     reciprocal_consistency,
@@ -284,12 +284,11 @@ def test_rejected_inputs():
 @pytest.mark.parametrize(
     "cls, build, field",
     [
-        (CoeffTable, lambda: coefficient_table("bernoulli", 3), "values"),
         (CrossCheck, lambda: verify_all(3), "mismatches"),
         (IdentityReport, lambda: report_from_pairs("x", [(0, 1, 2)]), "failures"),
         (ApproxReport, lambda: approx_factorial(5, 1), "n"),
     ],
-    ids=["CoeffTable", "CrossCheck", "IdentityReport", "ApproxReport"],
+    ids=["CrossCheck", "IdentityReport", "ApproxReport"],
 )
 def test_record_is_frozen(cls, build, field):
     # each result record is immutable: its fields can be neither

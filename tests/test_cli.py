@@ -112,6 +112,35 @@ def test_coeffs_mismatch_is_flagged_at_its_index_only(capsys, monkeypatch):
     assert json.loads(out)["agreed"] is False
 
 
+@pytest.mark.parametrize("command", ["coeffs", "verify"])
+def test_inverse_table_disagreement_is_an_identity_failure(
+    capsys, monkeypatch, command
+):
+    """x^3 off by one in the recurrence: exit 1 naming x^3, not a traceback."""
+    original = coefficients.inverse_series_by_recurrence
+
+    def corrupted(kind, order):
+        coeffs = list(original(kind, order).coeffs)
+        coeffs[3] += 1
+        return TruncatedSeries(coeffs, order=order)
+
+    monkeypatch.setattr(coefficients, "inverse_series_by_recurrence", corrupted)
+    code, out, err = run_cli(capsys, [command, "--max", "3"])
+    assert code == 1
+    assert out == ""
+    assert "inverse-table routes disagree at x^3:" in err
+
+
+def test_arithmetic_error_subclass_is_not_an_identity_failure(monkeypatch):
+    # a ZeroDivisionError in a route is a bug, so it is not turned into exit 1
+    def broken(method, index_max):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(coefficients, "coefficient_table", broken)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["coeffs", "--max", "3"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -157,7 +157,7 @@ def test_expansion_is_the_odd_taylor_coefficients_of_the_inverse():
         for k in range(5)
     ]
     assert values == KNOWN_EXPANSION
-    assert coefficient_table("inverse-table", 4).values == tuple(values)
+    assert coefficient_table("inverse-table", 4) == tuple(values)
 
 
 @pytest.mark.parametrize("power", [4, 5])
@@ -184,29 +184,32 @@ def test_expansion_coefficients_helper():
 
 def test_coefficient_table_dispatch():
     for method in COEFF_METHODS:
-        table = coefficient_table(method, 4)
-        assert table.method == method
-        assert list(table.values) == KNOWN_EXPANSION
+        assert coefficient_table(method, 4) == tuple(KNOWN_EXPANSION)
     with pytest.raises(ValueError):
         coefficient_table("kernel-of-doom", 4)
 
 
-def test_coeff_table_accessors_and_serialization():
-    table = coefficient_table("bernoulli", 3)
-    assert table.index_max == 3
-    assert table[1] == Fraction(1, 12)
-    with pytest.raises(ValueError):
-        table[4]
-    assert table.to_json_dict() == {
-        "method": "bernoulli",
-        "values": ["1", "1/12", "1/288", "-139/51840"],
+def test_cross_check_serialization():
+    # one (method, values) pair per method asked for, in that order, a
+    # repeated method included, and one JSON table per pair
+    check = verify_all(3, ["bernoulli", "log-kernel", "bernoulli"])
+    values = (Fraction(1), Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840))
+    assert check.tables == (
+        ("bernoulli", values),
+        ("log-kernel", values),
+        ("bernoulli", values),
+    )
+    text = ["1", "1/12", "1/288", "-139/51840"]
+    assert check.to_json_dict() == {
+        "index_max": 3,
+        "agreed": True,
+        "mismatches": [],
+        "tables": [
+            {"method": "bernoulli", "values": text},
+            {"method": "log-kernel", "values": text},
+            {"method": "bernoulli", "values": text},
+        ],
     }
-
-
-def test_coeff_table_is_a_sized_iterable_over_its_values():
-    table = coefficient_table("bernoulli", 3)
-    assert list(table) == list(table.values)
-    assert len(table) == table.index_max + 1
 
 
 def test_verify_all_reports_agreement():

@@ -56,11 +56,11 @@ def test_three_routes_agree_up_to_the_enumeration_cap(r):
     for n in range(ENUMERATION_LIMIT + 1):
         for k in range(n + 1):
             by_recurrence = stirling2_assoc(r, n, k)
-            by_series = stirling2_from_series(r, n, k, n)
+            by_series = stirling2_from_series(r, n, k)
             by_enumeration = enumerate_oracle(r, n, k, "partition")
             assert by_recurrence == by_series == by_enumeration, (r, n, k)
             by_recurrence = derangement_assoc(r, n, k)
-            by_series = derangement_from_series(r, n, k, n)
+            by_series = derangement_from_series(r, n, k)
             by_enumeration = enumerate_oracle(r, n, k, "derangement")
             assert by_recurrence == by_series == by_enumeration, (r, n, k)
 
@@ -98,10 +98,8 @@ def test_series_extraction_recovers_larger_tables():
     # past the enumeration cap the series route still pins the recurrence
     for n in range(10, 14):
         for k in range(5):
-            assert stirling2_from_series(3, n, k, n) == stirling2_assoc(3, n, k)
-            assert derangement_from_series(3, n, k, n) == derangement_assoc(
-                3, n, k
-            )
+            assert stirling2_from_series(3, n, k) == stirling2_assoc(3, n, k)
+            assert derangement_from_series(3, n, k) == derangement_assoc(3, n, k)
 
 
 @pytest.mark.parametrize("extract", [stirling2_from_series, derangement_from_series])
@@ -111,7 +109,7 @@ def test_series_extraction_rejects_a_non_integral_count(extract, monkeypatch):
         TruncatedSeries, "egf_coefficient", lambda self, index: Fraction(7, 3)
     )
     with pytest.raises(ArithmeticError, match="not an integer"):
-        extract(3, 6, 2, 6)
+        extract(3, 6, 2)
 
 
 def test_enumeration_cap_enforced():
@@ -129,8 +127,6 @@ def test_bad_arguments_rejected():
         stirling2_assoc(0, 3, 1)
     with pytest.raises(ValueError):
         derangement_assoc(3, -1, 0)
-    with pytest.raises(ValueError):
-        stirling2_from_series(3, 7, 1, 6)
 
 
 def test_bernoulli_initial_segment():

@@ -109,11 +109,8 @@ def test_mul_matches_left_truncated_exponential():
 def test_scalar_arithmetic():
     f = TruncatedSeries([1, 2, 3])
     assert (2 * f).coeffs == (2, 4, 6)
-    assert (f / 2).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
     assert (f + 5).coeffs == (6, 2, 3)
     assert (1 - f).coeffs == (0, -2, -3)
-    with pytest.raises(ZeroDivisionError):
-        f / 0
 
 
 def test_compose_with_identity():
