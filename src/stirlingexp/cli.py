@@ -6,8 +6,9 @@ full identity suite), approx (factorial approximation reports), comb
 (restricted partition/permutation tables).
 
 Data goes to stdout or --output; diagnostics go to stderr.  Exit codes:
-0 success, 1 identity failure, 2 usage error.  Output is deterministic
-for a fixed invocation.
+0 success, 1 identity failure, 2 usage error or data that could not be
+written (a closed pipe, a full disk).  Output is deterministic for a
+fixed invocation.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _data_out(output: str | None) -> Iterator[io.TextIOBase]:
-    """stdout, or the --output file opened for writing and closed after.
+    """stdout, flushed after, or the --output file, opened and closed after.
 
     A file that cannot be opened is a usage error (exit 2).  A command
     opens it after its usage checks and before the work: an unopenable
@@ -175,6 +176,7 @@ def _data_out(output: str | None) -> Iterator[io.TextIOBase]:
     """
     if output is None:
         yield sys.stdout
+        sys.stdout.flush()  # a late EPIPE, caught by main, not at exit
         return
     try:
         handle = open(output, "w", encoding="utf-8")
@@ -234,15 +236,11 @@ def _run_coeffs(args) -> int:
 
 def _named_series(which: str, order: int):
     from . import coefficients
-    from .series import exp_kernel, log_kernel
 
-    if which == "inv-exp":
-        return coefficients.inverse_series("exp", order)
-    if which == "inv-log":
-        return coefficients.inverse_series("log", order)
-    if which == "exp-kernel":
-        return exp_kernel(order)
-    return log_kernel(order)
+    head, tail = which.split("-")
+    if head == "inv":
+        return coefficients.inverse_series(tail, order)
+    return coefficients.kernel(head, order)
 
 
 def _run_series(args) -> int:
@@ -395,6 +393,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _RUNNERS[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a closed pipe or a full disk
+        if isinstance(exc, BrokenPipeError) and args.output is None:
+            # stdout's buffer empties into os.devnull at exit (signal docs)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         # a route's own self-check failed (the inverse table's reversion

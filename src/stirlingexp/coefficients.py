@@ -8,28 +8,35 @@ with a_0 = 1, a_1 = 1/12, a_2 = 1/288.  By Lagrange inversion
 
 with c_m the m-th Taylor coefficient of the compositional inverse of
 x * sqrt(kernel) (the exp and log sides share their odd coefficients);
-_from_inverse takes that quotient.  There are six exact routes, five of
-which differ only in how they reach c_{2k+1}:
+_from_inverse takes that quotient; five of the six exact routes differ
+only in how they reach c_{2k+1}.  Each route is listed with what it runs
+in the package on cold caches past coefficient_table and _require_index
+("core": series' _first_order, _lift, as_fraction, _Running, and
+TruncatedSeries.__init__ and .order), as tests/test_coefficients.py
+checks it:
 
-  * exp-kernel, log-kernel: Lagrange inversion on the truncated-exp or
-    truncated-log kernel (inverse_egf_by_lagrange),
-  * partition-sum, derangement-sum: the generalized alternating sums
-    over 3-restricted set-partition or permutation counts,
-  * inverse-table: reversion of x * sqrt(exp kernel), checked at every
-    power against the recurrence of its differential equation,
-  * bernoulli: the exponential of the classical Bernoulli-number series,
-    which gives a_k directly.
+  exp-kernel, log-kernel (Lagrange inversion on the truncated kernel):
+    coeff_via_exp_kernel (log), inverse_egf_by_lagrange, kernel,
+    _from_inverse; series exp_kernel (log), power_rational,
+    egf_coefficient, core
+  partition-sum, derangement-sum (alternating sums of 3-restricted
+    counts): coeff_via_partition_sum, generalized_partition_sum
+    (derangement for partition), _generalized_sum, _from_inverse;
+    combinat stirling2_assoc (derangement_assoc), _assoc, _validate, _rows
+  inverse-table (reversion, checked at every power against a recurrence):
+    _inverse_table, inverse_series, kernel, inverse_series_by_recurrence,
+    _from_inverse; series exp_kernel, power_rational, reversion,
+    __getitem__, coeffs, egf_coefficient, core
+  bernoulli (the exponential of the Bernoulli series, with B_m read off
+    one inverse of (e^x - 1)/x): expansion_coefficients,
+    _bernoulli_exponent; combinat bernoulli_numbers; series inverse,
+    egf_coefficient, exp, __add__, coeffs, core
 
-Agreement across all of them is exposed as a first-class cross-check
-(verify_all), not just as a test.
-
-The five per-k routes and inverse_series are memoised per process
-(functools.cache, one entry per argument asked for; each function's
-cache_clear() empties it), so a run that reaches one a_k or one inverse
-series from several checks computes it once.  Each route has its own
-cache: no two routes share a value.  The sums and the recurrence add
-integer numerators over one common denominator and build one reduced
-Fraction per result, as the series kernels do.
+The four per-k routes, expansion_coefficients (the bernoulli table) and
+inverse_series are memoised (functools.cache), so a run that reaches one
+a_k, table or inverse series from several checks computes it once; no
+two routes share a cached value.  The sums and the recurrence add
+integer numerators over one common denominator, as the series kernels do.
 """
 
 from __future__ import annotations
@@ -52,11 +59,11 @@ from .series import (
 __all__ = [
     "COEFF_METHODS",
     "KERNELS",
+    "kernel",
     "coeff_via_exp_kernel",
     "coeff_via_log_kernel",
     "coeff_via_partition_sum",
     "coeff_via_derangement_sum",
-    "coeff_via_bernoulli",
     "expansion_coefficients",
     "inverse_series",
     "inverse_egf_by_lagrange",
@@ -71,12 +78,11 @@ __all__ = [
 KERNELS = ("exp", "log")
 
 
-def _kernel(kind: str, order: int) -> TruncatedSeries:
-    if kind == "exp":
-        return exp_kernel(order)
-    if kind == "log":
-        return log_kernel(order)
-    raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
+def kernel(kind: str, order: int) -> TruncatedSeries:
+    """The exp or log kernel, by name, truncated at ``order``."""
+    if kind not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
+    return exp_kernel(order) if kind == "exp" else log_kernel(order)
 
 
 def _require_index(k: int) -> None:
@@ -97,7 +103,7 @@ def inverse_egf_by_lagrange(kind: str, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError(f"Lagrange route needs k >= 1, got {k}")
-    power = _kernel(kind, k - 1).power_rational(Fraction(-k, 2))
+    power = kernel(kind, k - 1).power_rational(Fraction(-k, 2))
     return power.egf_coefficient(k - 1)
 
 
@@ -161,21 +167,11 @@ def coeff_via_derangement_sum(k: int) -> Fraction:
 
 
 def _bernoulli_exponent(order: int) -> TruncatedSeries:
-    """sum_{m>=1} B_2m / (2m (2m-1)) x^(2m-1), truncated at ``order``."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for m in range(1, (order + 1) // 2 + 1):
-        coeffs[2 * m - 1] = combinat.bernoulli(2 * m) / (2 * m * (2 * m - 1))
-    return TruncatedSeries(coeffs, order=order)
-
-
-@cache
-def coeff_via_bernoulli(k: int) -> Fraction:
-    """a_k from exponentiating the classical Bernoulli correction series.
-
-    The exponent is sum_{m>=1} B_2m / (2m (2m-1)) x^(2m-1); a_k is the
-    k-th ordinary coefficient of its exponential, cut at order k.
-    """
-    return expansion_coefficients(k)[k]
+    """sum_{m>=1} B_2m / (2m (2m-1)) x^(2m-1) to x^order (j = 2m-1 below)."""
+    b = combinat.bernoulli_numbers(order + 1)
+    return TruncatedSeries(
+        [b[j + 1] / ((j + 1) * j) if j % 2 else 0 for j in range(order + 1)]
+    )
 
 
 @cache
@@ -188,7 +184,7 @@ def inverse_series(kind: str, order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError(f"inverse series needs order >= 1, got {order}")
-    root = _kernel(kind, order - 1).power_rational(Fraction(1, 2))
+    root = kernel(kind, order - 1).power_rational(Fraction(1, 2))
     lifted = TruncatedSeries((Fraction(0),) + root.coeffs, order=order)
     return lifted.reversion()
 
@@ -229,48 +225,52 @@ def inverse_series_by_recurrence(kind: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(values, order=order)
 
 
-def expansion_coefficients(index_max: int) -> list[Fraction]:
-    """a_0 .. a_index_max by the cheapest closed route (Bernoulli series).
-
-    One exponential of order index_max yields every coefficient at once.
-    """
+@cache
+def expansion_coefficients(index_max: int) -> tuple[Fraction, ...]:
+    """a_0 .. a_index_max, the bernoulli table: one exponential, all a_k."""
     _require_index(index_max)
-    return list(_bernoulli_exponent(index_max).exp().coeffs)
+    return _bernoulli_exponent(index_max).exp().coeffs
 
 
+def _inverse_table(index_max: int) -> tuple[Fraction, ...]:
+    """a_0 .. a_index_max off the reversion, checked against the recurrence."""
+    order = 2 * index_max + 1
+    series = inverse_series("exp", order)
+    recurrence = inverse_series_by_recurrence("exp", order)
+    for i in range(order + 1):
+        if series[i] != recurrence[i]:
+            raise ArithmeticError(
+                f"inverse-table routes disagree at x^{i}: reversion "
+                f"{series[i]}, recurrence {recurrence[i]}"
+            )
+    return tuple(
+        _from_inverse(series.egf_coefficient(2 * k + 1), k)
+        for k in range(index_max + 1)
+    )
+
+
+# the routes that compute one a_k at a time
 _METHOD_FUNCS = {
     "exp-kernel": coeff_via_exp_kernel,
     "log-kernel": coeff_via_log_kernel,
     "partition-sum": coeff_via_partition_sum,
     "derangement-sum": coeff_via_derangement_sum,
-    "bernoulli": coeff_via_bernoulli,
 }
+# the routes that compute the whole table a_0..a_K at once
+_TABLES = {"bernoulli": expansion_coefficients, "inverse-table": _inverse_table}
 
 # methods that produce the expansion coefficients a_k themselves
-COEFF_METHODS = (*_METHOD_FUNCS, "inverse-table")
+COEFF_METHODS = (*_METHOD_FUNCS, *_TABLES)
 
 
 def coefficient_table(method: str, index_max: int) -> tuple[Fraction, ...]:
     """a_0 .. a_index_max by the named method."""
     _require_index(index_max)
-    if method == "inverse-table":
-        order = 2 * index_max + 1
-        series = inverse_series("exp", order)
-        recurrence = inverse_series_by_recurrence("exp", order)
-        for i in range(order + 1):
-            if series[i] != recurrence[i]:
-                raise ArithmeticError(
-                    f"inverse-table routes disagree at x^{i}: reversion "
-                    f"{series[i]}, recurrence {recurrence[i]}"
-                )
-        return tuple(
-            _from_inverse(series.egf_coefficient(2 * k + 1), k)
-            for k in range(index_max + 1)
-        )
+    if method in _TABLES:
+        return _TABLES[method](index_max)
     if method not in _METHOD_FUNCS:
         raise ValueError(f"unknown method {method!r}; expected one of {COEFF_METHODS}")
-    func = _METHOD_FUNCS[method]
-    return tuple(func(k) for k in range(index_max + 1))
+    return tuple(map(_METHOD_FUNCS[method], range(index_max + 1)))
 
 
 class CrossCheck(namedtuple("CrossCheck", "index_max tables mismatches")):

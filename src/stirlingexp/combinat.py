@@ -20,7 +20,8 @@ digits.  The single-value functions run it on int and return int: they
 read the rows through a cache of the rows computed so far, one per (r,
 kind), cut at a column width that starts at the requested k and doubles
 when a later call needs a wider column; a cold call for (r, n, k)
-therefore costs O(n k) and never recurses.
+therefore costs O(n k) and never recurses.  bernoulli_numbers keeps no
+state: each call is one series inverse.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, islice, permutations, repeat
 
-from .series import TruncatedSeries, _Running
+from .series import TruncatedSeries
 
 __all__ = [
     "stirling2_assoc",
@@ -43,7 +44,7 @@ __all__ = [
     "derangement_from_series",
     "enumerate_oracle",
     "ENUMERATION_LIMIT",
-    "bernoulli",
+    "bernoulli_numbers",
     "comb_table",
     "KINDS",
 ]
@@ -250,25 +251,19 @@ def enumerate_oracle(r: int, n: int, k: int, kind: str) -> int:
     return tally[k] if k <= n else 0
 
 
-# B_0, B_1, ... computed so far, and as integers over one common denominator
-_bernoulli_cache = ([Fraction(1)], _Running(Fraction(1)))
+def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_m, with the B_1 = -1/2 convention.
 
-
-def bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m with the B_1 = -1/2 convention.
-
-    Built from the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0
-    for m >= 1, summed in integers; values are cached.
+    B_j is the j-th Taylor coefficient of x/(e^x - 1) (Comtet, *Advanced
+    Combinatorics*, 1974), so one inverse of (e^x - 1)/x, the series
+    sum_j x^j/(j+1)!, at order m gives them all.
     """
     if m < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {m}")
-    values, known = _bernoulli_cache
-    while len(values) <= m:
-        i = len(values)
-        acc = sum(math.comb(i + 1, j) * b for j, b in enumerate(known.nums))
-        values.append(Fraction(-acc, known.den * (i + 1)))
-        known.append(values[-1])
-    return values[m]
+    inverse = TruncatedSeries(
+        [Fraction(1, math.factorial(j + 1)) for j in range(m + 1)]
+    ).inverse()
+    return tuple(inverse.egf_coefficient(j) for j in range(m + 1))
 
 
 def _exactly(rows: Iterator[list[Decimal]]) -> Iterator[list[Decimal]]:

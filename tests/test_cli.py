@@ -87,12 +87,14 @@ def test_coeffs_negative_max_is_usage_error(capsys):
 
 def test_coeffs_mismatch_is_flagged_at_its_index_only(capsys, monkeypatch):
     """a_3 off by one in the bernoulli route: only index 3 disagrees."""
-    original = coefficients.coeff_via_bernoulli
+    original = coefficients.expansion_coefficients
 
-    def corrupted(k):
-        return original(k) + (1 if k == 3 else 0)
+    def corrupted(index_max):
+        values = list(original(index_max))
+        values[3] += 1
+        return tuple(values)
 
-    monkeypatch.setitem(coefficients._METHOD_FUNCS, "bernoulli", corrupted)
+    monkeypatch.setitem(coefficients._TABLES, "bernoulli", corrupted)
 
     code, out, _ = run_cli(capsys, ["coeffs", "--max", "5"])
     assert code == 1
@@ -263,9 +265,10 @@ def test_verify_computes_each_route_and_inverse_series_once(
     capsys, monkeypatch
 ):
     # on cold caches: one reversion per inverse series (exp and log at
-    # order 6, exp at 13 for the inverse table), and each a_k once per
-    # kernel route and once per count-sum route
-    calls = {"reversion": 0, "lagrange": 0, "generalized_sum": 0}
+    # order 6, exp at 13 for the inverse table), each a_k once per
+    # kernel route and once per count-sum route, and one Bernoulli table
+    # for both the reciprocal check and the bernoulli column
+    calls = {"reversion": 0, "lagrange": 0, "generalized_sum": 0, "bernoulli": 0}
 
     def counting(name, func):
         def counted(*args):
@@ -279,13 +282,16 @@ def test_verify_computes_each_route_and_inverse_series_once(
     )
     for name, key in [("inverse_egf_by_lagrange", "lagrange"),
                       ("generalized_partition_sum", "generalized_sum"),
-                      ("generalized_derangement_sum", "generalized_sum")]:
+                      ("generalized_derangement_sum", "generalized_sum"),
+                      ("_bernoulli_exponent", "bernoulli")]:
         monkeypatch.setattr(
             coefficients, name, counting(key, getattr(coefficients, name))
         )
     code, _, _ = run_cli(capsys, ["verify", "--max", "6"])
     assert code == 0
-    assert calls == {"reversion": 3, "lagrange": 2 * 7, "generalized_sum": 2 * 7}
+    assert calls == {
+        "reversion": 3, "lagrange": 2 * 7, "generalized_sum": 2 * 7, "bernoulli": 1
+    }
 
 
 def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):
@@ -367,7 +373,7 @@ def _corrupt_expansion_coefficients(monkeypatch):
     original = identities.expansion_coefficients
 
     def corrupted(index_max):
-        coeffs = original(index_max)
+        coeffs = list(original(index_max))
         coeffs[4] += 1
         return coeffs
 
@@ -644,18 +650,25 @@ def test_comb_writes_once_per_row(fmt):
     assert "".join(handle.parts) == _materialised_comb(3, max_n, "partition", fmt)
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_comb_on_a_write_through_stdout_matches_the_materialised_table(fmt):
-    # python -u makes sys.stdout write through to the pipe on every write
+def _python(*args, **streams):
+    """A fresh interpreter run on args, with the package on its path.
+
+    stdout is buffered unless args ask for -u, whatever the environment
+    says.
+    """
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-u", "-m", "stirlingexp.cli", "comb", "--r", "2",
-         "--max-n", "12", "--format", fmt],
-        env=env,
-        capture_output=True,
-        timeout=60,
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **streams)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_comb_on_a_write_through_stdout_matches_the_materialised_table(fmt):
+    # python -u makes sys.stdout write through to the pipe on every write
+    done = _python(
+        "-u", "-m", "stirlingexp.cli", "comb", "--r", "2", "--max-n", "12",
+        "--format", fmt, capture_output=True,
     )
     assert (done.returncode, done.stderr) == (0, b"")
     expected = _materialised_comb(2, 12, "partition", fmt)
@@ -670,6 +683,9 @@ class _Sha256Text:
 
     def write(self, text):
         self.digest.update(text.encode("utf-8"))
+
+    def flush(self):
+        pass
 
 
 @pytest.mark.slow
@@ -778,3 +794,37 @@ def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert err.startswith("error: cannot open --output:")
     assert str(target) in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs", "--max", "3"], ["comb", "--r", "1", "--max-n", "300"]],
+    ids=["at-the-last-flush", "mid-table"],
+)
+def test_closed_pipe_is_a_write_failure(argv):
+    # the reader is gone before the first byte: a short table fails only
+    # when stdout is flushed, a long one on a write in mid-table.  Exit 1
+    # is kept for an identity failure
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _python(
+            "-m", "stirlingexp.cli", *argv, stdout=write_end,
+            stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: cannot write the output:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_output_device_is_a_write_failure():
+    done = _python(
+        "-m", "stirlingexp.cli", "--output", "/dev/full", "coeffs", "--max",
+        "3", capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: cannot write the output:")

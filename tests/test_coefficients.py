@@ -1,16 +1,17 @@
 """Cross-checks between all coefficient routes plus frozen reference values."""
 
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlingexp import coefficients
+from stirlingexp import coefficients, combinat
 from stirlingexp.coefficients import (
     COEFF_METHODS,
-    coeff_via_bernoulli,
     coeff_via_derangement_sum,
     coeff_via_exp_kernel,
     coeff_via_log_kernel,
@@ -52,7 +53,6 @@ ENGINES = [
     coeff_via_log_kernel,
     coeff_via_partition_sum,
     coeff_via_derangement_sum,
-    coeff_via_bernoulli,
 ]
 
 
@@ -62,14 +62,16 @@ def test_each_engine_reproduces_known_values(engine):
 
 
 def test_engines_agree_through_k8():
+    expected = expansion_coefficients(8)
     for k in range(9):
-        values = {engine(k) for engine in ENGINES}
+        values = {engine(k) for engine in ENGINES} | {expected[k]}
         assert len(values) == 1, (k, values)
 
 
 def test_sum_routes_match_bernoulli_through_k60():
+    table = expansion_coefficients(60)
     for k in range(61):
-        expected = coeff_via_bernoulli(k)
+        expected = table[k]
         assert coeff_via_partition_sum(k) == expected, k
         assert coeff_via_derangement_sum(k) == expected, k
 
@@ -176,10 +178,14 @@ def test_inverse_table_detects_a_corrupt_recurrence(monkeypatch, power):
 
 
 def test_expansion_coefficients_helper():
-    assert expansion_coefficients(4) == KNOWN_EXPANSION
-    per_index = [coeff_via_bernoulli(k) for k in range(31)]
+    assert expansion_coefficients(4) == tuple(KNOWN_EXPANSION)
+    # each table is a prefix of the next: a_k does not depend on the order
+    # of the exponential that yields it
+    widest = expansion_coefficients(30)
     for index_max in range(31):
-        assert expansion_coefficients(index_max) == per_index[: index_max + 1]
+        assert expansion_coefficients(index_max) == widest[: index_max + 1]
+    with pytest.raises(ValueError):
+        expansion_coefficients(-1)
 
 
 def test_coefficient_table_dispatch():
@@ -227,13 +233,14 @@ def test_first_coefficient_is_one_for_every_method():
         assert coefficient_table(method, 0)[0] == 1
 
 
-# the six routes to a_k, each computing a_k alone
+# the six routes to a_k, each computing a_k alone (the two table routes
+# through the table that ends at a_k)
 ROUTES = {
     "exp-kernel": coeff_via_exp_kernel,
     "log-kernel": coeff_via_log_kernel,
     "partition-sum": coeff_via_partition_sum,
     "derangement-sum": coeff_via_derangement_sum,
-    "bernoulli": coeff_via_bernoulli,
+    "bernoulli": lambda k: expansion_coefficients(k)[k],
     "inverse-table": lambda k: coefficient_table("inverse-table", k)[k],
 }
 ROUTE_PAIRS = st.sampled_from(list(combinations(COEFF_METHODS, 2)))
@@ -255,3 +262,94 @@ def test_two_random_routes_agree_exactly(k, pair):
 @given(st.integers(min_value=25, max_value=100), ROUTE_PAIRS)
 def test_two_random_routes_agree_exactly_at_larger_k(k, pair):
     _routes_agree(k, pair)
+
+
+# What coefficient_table(method, 6) runs in the package on cold caches,
+# besides coefficient_table and _require_index, which every route runs.
+# A method is Class.name, a function module.name.  FIRST_ORDER is the
+# series core that every route through TruncatedSeries stands on.  The
+# coefficients docstring holds the same table; a helper that a route
+# starts to share shows up here as an edit of its row.
+FIRST_ORDER = {
+    "TruncatedSeries.__init__", "TruncatedSeries.order",
+    "TruncatedSeries._first_order", "series._lift", "series.as_fraction",
+    "_Running.__init__", "_Running.append",
+}
+REACH = {
+    "exp-kernel": {
+        "coefficients.coeff_via_exp_kernel",
+        "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
+        "coefficients._from_inverse", "series.exp_kernel",
+        "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",
+        *FIRST_ORDER,
+    },
+    "log-kernel": {
+        "coefficients.coeff_via_log_kernel",
+        "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
+        "coefficients._from_inverse", "series.log_kernel",
+        "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",
+        *FIRST_ORDER,
+    },
+    "partition-sum": {
+        "coefficients.coeff_via_partition_sum",
+        "coefficients.generalized_partition_sum",
+        "coefficients._generalized_sum", "coefficients._from_inverse",
+        "combinat.stirling2_assoc", "combinat._assoc", "combinat._validate",
+        "combinat._rows",
+    },
+    "derangement-sum": {
+        "coefficients.coeff_via_derangement_sum",
+        "coefficients.generalized_derangement_sum",
+        "coefficients._generalized_sum", "coefficients._from_inverse",
+        "combinat.derangement_assoc", "combinat._assoc", "combinat._validate",
+        "combinat._rows",
+    },
+    "bernoulli": {
+        "coefficients.expansion_coefficients",
+        "coefficients._bernoulli_exponent", "combinat.bernoulli_numbers",
+        "TruncatedSeries.inverse", "TruncatedSeries.egf_coefficient",
+        "TruncatedSeries.exp", "TruncatedSeries.__add__",
+        "TruncatedSeries.coeffs", *FIRST_ORDER,
+    },
+    "inverse-table": {
+        "coefficients._inverse_table", "coefficients.inverse_series",
+        "coefficients.kernel", "coefficients.inverse_series_by_recurrence",
+        "coefficients._from_inverse", "series.exp_kernel",
+        "TruncatedSeries.power_rational", "TruncatedSeries.reversion",
+        "TruncatedSeries.coeffs", "TruncatedSeries.__getitem__",
+        "TruncatedSeries.egf_coefficient", *FIRST_ORDER,
+    },
+}
+PACKAGE = str(Path(coefficients.__file__).parent)
+
+
+def _reached(method):
+    """The package functions coefficient_table(method, 6) calls."""
+    seen = set()
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        if event != "call" or not code.co_filename.startswith(PACKAGE):
+            return
+        if code.co_name.startswith("<"):  # a comprehension or lambda
+            return
+        if code.co_argcount and code.co_varnames[0] == "self":
+            owner = type(frame.f_locals["self"]).__name__
+        else:
+            owner = Path(code.co_filename).stem
+        seen.add(f"{owner}.{code.co_name}")
+
+    sys.setprofile(record)
+    try:
+        coefficient_table(method, 6)
+    finally:
+        sys.setprofile(None)
+    return seen - {"coefficients.coefficient_table", "coefficients._require_index"}
+
+
+@pytest.mark.parametrize("method", COEFF_METHODS)
+def test_each_route_reaches_only_its_row(monkeypatch, method):
+    # cold caches: the coefficients caches are cleared for every test,
+    # and combinat's rows start empty here
+    monkeypatch.setattr(combinat, "_row_cache", {})
+    assert _reached(method) == REACH[method]

@@ -12,7 +12,7 @@ import pytest
 from stirlingexp import combinat
 from stirlingexp.combinat import (
     ENUMERATION_LIMIT,
-    bernoulli,
+    bernoulli_numbers,
     comb_table,
     derangement_assoc,
     derangement_from_series,
@@ -153,21 +153,27 @@ def test_bernoulli_initial_segment():
         Fraction(0),
         Fraction(-174611, 330),
     ]
-    assert [bernoulli(m) for m in range(21)] == expected
+    assert bernoulli_numbers(20) == tuple(expected)
+    assert bernoulli_numbers(0) == (1,)
 
 
 def test_bernoulli_defining_recurrence():
-    for m in range(1, 25):
-        total = sum(
-            math.comb(m + 1, j) * bernoulli(j) for j in range(m + 1)
-        )
-        assert total == 0, m
+    # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, the recurrence the numbers
+    # are classically defined by; the package reads them off a series
+    # inverse instead, so this is an independent oracle.  The sums are
+    # taken in integers over the common denominator of B_0..B_200
+    numbers = bernoulli_numbers(201)
+    den = math.lcm(*(b.denominator for b in numbers))
+    nums = [b.numerator * (den // b.denominator) for b in numbers]
+    for m in range(1, 201):
+        assert sum(math.comb(m + 1, j) * nums[j] for j in range(m + 1)) == 0, m
 
 
 def test_bernoulli_odd_indices_vanish():
-    assert all(bernoulli(2 * t + 1) == 0 for t in range(1, 15))
+    numbers = bernoulli_numbers(29)
+    assert all(numbers[2 * t + 1] == 0 for t in range(1, 15))
     with pytest.raises(ValueError):
-        bernoulli(-1)
+        bernoulli_numbers(-1)
 
 
 def test_comb_table_layout():

@@ -184,3 +184,19 @@ def test_the_first_order_recurrences_share_one_loop():
         )
     ]
     assert found == []
+
+
+def test_benchmark_names_the_package_coefficient_methods():
+    # bench/run.py keeps its own copy of the method names, from which it
+    # builds the coeffs deck and the per-route metric names
+    from stirlingexp.coefficients import COEFF_METHODS
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["COEFF_METHODS"]
+    ]
+    assert ast.literal_eval(value) == COEFF_METHODS
