@@ -13,14 +13,14 @@ fixed invocation.
 
 from __future__ import annotations
 
-# what build_parser needs; each runner imports the modules it runs.
+# the exact layers, which build_parser already needs; only verify's
+# identities and approx's asymptotic are imported by their runners.
 # Ahead of the standard library on purpose: where bytecode is not
 # cached, these modules are compiled on import, and compiled after the
 # standard-library modules below had loaded they raised the peak RSS of
 # coeffs and verify by 0.15-0.23 MB (0.02-0.09 MB when compiled first)
-from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS
-from .combinat import KINDS
-from .coefficients import COEFF_METHODS
+from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, format_rational
+from . import coefficients, combinat
 
 import argparse
 import contextlib
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument(
         "--methods",
         nargs="+",
-        choices=COEFF_METHODS + ("all",),
+        choices=coefficients.COEFF_METHODS + ("all",),
         default=["all"],
     )
     p_coeffs.add_argument("--format", choices=FORMATS, default="plain")
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comb.add_argument("--r", type=int, default=3)
     p_comb.add_argument("--max-n", type=int, default=9)
     p_comb.add_argument(
-        "--kind", choices=KINDS, default="partition"
+        "--kind", choices=combinat.KINDS, default="partition"
     )
     p_comb.add_argument("--format", choices=FORMATS, default="plain")
 
@@ -167,51 +167,65 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _data_out(output: str | None) -> Iterator[io.TextIOBase]:
-    """stdout, flushed after, or the --output file, opened and closed after.
+    """stdout, flushed after, or a handle on the --output path.
 
-    A file that cannot be opened is a usage error (exit 2).  A command
-    opens it after its usage checks and before the work: an unopenable
-    path then fails at once, and a usage error never truncates an
-    existing file.
+    A regular file or a new path is written to a temporary file beside
+    it (beside a symlink's target), which replaces it when the work
+    returns, MISMATCH or not; after an exception the temporary file goes
+    and the target keeps its bytes.  A device or a FIFO is written in
+    place: a rename would replace the node.  The path is opened after
+    the usage checks and before the work, so an unopenable one is a
+    usage error (exit 2) before any work, and creates nothing.
     """
     if output is None:
         yield sys.stdout
         sys.stdout.flush()  # a late EPIPE, caught by main, not at exit
         return
+    in_place = os.path.exists(output) and not os.path.isfile(output)
+    target = output if in_place else os.path.realpath(output)
+    temp = target if in_place else f"{target}.{os.urandom(4).hex()}.tmp"
     try:
-        handle = open(output, "w", encoding="utf-8")
+        if in_place:
+            fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        else:
+            exists = os.path.exists(target)
+            if exists:  # as writable as an open in place would need
+                os.close(os.open(target, os.O_WRONLY))
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            if exists:  # else the umask sets the new file's mode
+                os.chmod(fd, os.stat(target).st_mode & 0o7777)
     except OSError as exc:
+        # named by the path given, never by the temporary file
+        exc = OSError(exc.errno, exc.strerror, output)
         raise _UsageError(f"cannot open --output: {exc}") from None
-    with handle:
-        yield handle
-
-
-def _emit(text: str, handle: io.TextIOBase) -> None:
-    handle.write(text)
-    if not text.endswith("\n"):
-        handle.write("\n")
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            yield handle
+        if not in_place:
+            os.replace(temp, target)
+    except BaseException:
+        if not in_place:
+            os.remove(temp)
+        raise
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     # no field (an int, a p/q rational, a method or column name, mpmath
     # nstr text) holds a comma, quote or newline, so none needs quoting
-    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])
+    return "\n".join(",".join(map(str, row)) for row in [header, *rows])
 
 
 def _run_coeffs(args) -> int:
     if args.max < 0:
         raise _UsageError("--max must be >= 0")
     _check_ceiling("--max", args.max, COEFFS_MAX_K)
-    from . import coefficients
-    from .series import format_rational
-
-    methods = COEFF_METHODS if "all" in args.methods else args.methods
+    methods = coefficients.COEFF_METHODS if "all" in args.methods else args.methods
     with _data_out(args.output) as out:
         cross = coefficients.verify_all(args.max, methods)
         if args.format == "json":
             payload = cross.to_json_dict()
             del payload["mismatches"]
-            _emit(json.dumps(payload, indent=2), out)
+            print(json.dumps(payload, indent=2), file=out)
         elif args.format == "csv":
             header = ["k"] + [method for method, _ in cross.tables] + ["agree"]
             rows = [
@@ -220,7 +234,7 @@ def _run_coeffs(args) -> int:
                 + ["no" if k in cross.mismatches else "yes"]
                 for k in range(args.max + 1)
             ]
-            _emit(_csv_text(header, rows), out)
+            print(_csv_text(header, rows), file=out)
         else:
             lines = []
             for k in range(args.max + 1):
@@ -230,17 +244,8 @@ def _run_coeffs(args) -> int:
                 )
                 flag = "MISMATCH" if k in cross.mismatches else "ok"
                 lines.append(f"a_{k}: {cells} [{flag}]")
-            _emit("\n".join(lines), out)
+            print("\n".join(lines), file=out)
     return 0 if cross.agreed else 1
-
-
-def _named_series(which: str, order: int):
-    from . import coefficients
-
-    head, tail = which.split("-")
-    if head == "inv":
-        return coefficients.inverse_series(tail, order)
-    return coefficients.kernel(head, order)
 
 
 def _run_series(args) -> int:
@@ -248,18 +253,20 @@ def _run_series(args) -> int:
     if args.order < min_order:
         raise _UsageError(f"--order must be >= {min_order} for {args.which}")
     _check_ceiling("--order", args.order, SERIES_MAX_ORDER)
-    from .series import format_rational
-
+    head, tail = args.which.split("-")
     with _data_out(args.output) as out:
-        series = _named_series(args.which, args.order)
+        if head == "inv":
+            series = coefficients.inverse_series(tail, args.order)
+        else:
+            series = coefficients.kernel(head, args.order)
         if args.format == "json":
             payload = {"which": args.which, **series.to_json_dict()}
-            _emit(json.dumps(payload, indent=2), out)
+            print(json.dumps(payload, indent=2), file=out)
         elif args.format == "csv":
             rows = [(i, format_rational(c)) for i, c in enumerate(series.coeffs)]
-            _emit(_csv_text(["power", "coeff"], rows), out)
+            print(_csv_text(["power", "coeff"], rows), file=out)
         else:
-            _emit(f"{args.which}(x) = {series}", out)
+            print(f"{args.which}(x) = {series}", file=out)
     return 0
 
 
@@ -267,7 +274,7 @@ def _run_verify(args) -> int:
     if args.max < 3:
         raise _UsageError("--max must be >= 3")
     _check_ceiling("--max", args.max, VERIFY_MAX_K)
-    from . import coefficients, identities
+    from . import identities
 
     with _data_out(args.output) as out:
         reports = identities.run_all(args.max)
@@ -279,7 +286,7 @@ def _run_verify(args) -> int:
                 "identities": [r.to_json_dict() for r in reports],
                 "cross_check": cross.to_json_dict(),
             }
-            _emit(json.dumps(payload, indent=2), out)
+            print(json.dumps(payload, indent=2), file=out)
         else:
             lines = []
             for r in reports:
@@ -289,7 +296,7 @@ def _run_verify(args) -> int:
             lines.append(
                 f"{status} coefficient-cross-check [0..{cross.index_max}]"
             )
-            _emit("\n".join(lines), out)
+            print("\n".join(lines), file=out)
     if not ok:
         print("identity failure detected", file=sys.stderr)
         return 1
@@ -313,9 +320,9 @@ def _run_approx(args) -> int:
         report = asymptotic.approx_factorial(args.n, args.terms, precision)
         d = report.to_json_dict()
         if args.format == "json":
-            _emit(json.dumps(d, indent=2), out)
+            print(json.dumps(d, indent=2), file=out)
         elif args.format == "csv":
-            _emit(_csv_text(list(d), [list(d.values())]), out)
+            print(_csv_text(list(d), [list(d.values())]), file=out)
         else:
             lines = [
                 f"n = {d['n']}, terms = {d['terms']}, precision = "
@@ -325,7 +332,7 @@ def _run_approx(args) -> int:
                 f"rel_error    = {d['rel_error']}",
                 f"scaled_error = {d['scaled_error']}",
             ]
-            _emit("\n".join(lines), out)
+            print("\n".join(lines), file=out)
     return 0
 
 
@@ -366,8 +373,6 @@ def _run_comb(args) -> int:
     if args.max_n < 0:
         raise _UsageError("--max-n must be >= 0")
     _check_ceiling("--max-n", args.max_n, COMB_MAX_N)
-    from . import combinat
-
     try:
         rows = combinat.comb_table(args.r, args.max_n, args.kind)
     except ValueError as exc:

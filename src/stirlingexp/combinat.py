@@ -152,14 +152,18 @@ def _count_from_series(
 ) -> int:
     """l! * [x^l] of (sum_{i>=r} term(i) x^i)^j / j!, an integer.
 
-    No power above x^l reaches the x^l coefficient, so the series is
-    built at order l.
+    The base is x^r h with h[0] = term(r), so its j-th power is
+    term(r)^j x^(rj) (h/term(r))^j: zero at x^l when rj > l, and else
+    read at x^(l-rj) of the power of a series with constant term 1.
     """
     _validate(r, l=l, j=j)
-    base = TruncatedSeries(
-        [term(i) if i >= r else Fraction(0) for i in range(l + 1)], order=l
+    if r * j > l:
+        return 0
+    lead, m = term(r), l - r * j
+    unit = TruncatedSeries([term(r + i) / lead for i in range(m + 1)])
+    value = (
+        math.factorial(l) * lead**j * unit.power_rational(j)[m] / math.factorial(j)
     )
-    value = (base**j).egf_coefficient(l) / math.factorial(j)
     if value.denominator != 1:
         raise ArithmeticError(
             f"series extraction of {symbol}_{r}({l}, {j}) is not an integer: {value}"

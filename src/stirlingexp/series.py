@@ -31,7 +31,7 @@ programming error and rejected, not silently truncated.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import count
 from operator import mul
@@ -227,36 +227,16 @@ class TruncatedSeries:
             self._require_same_order(other)
             a, da = _lift(self._coeffs)
             b, db = _lift(other._coeffs)
-            # drop leading zeros: output n starts at the sum of the valuations
-            za = next((i for i, v in enumerate(a) if v), len(a))
-            zb = next((i for i, v in enumerate(b) if v), len(b))
-            a, b = a[za:], b[zb:]
             den = da * db
-            out = [Fraction(0)] * min(za + zb, len(self._coeffs))
-            for m in range(len(self._coeffs) - len(out)):
-                out.append(Fraction(sum(map(mul, a, reversed(b[: m + 1]))), den))
-            return TruncatedSeries(out)
+            return TruncatedSeries(
+                Fraction(sum(map(mul, a, reversed(b[: m + 1]))), den)
+                for m in range(len(a))
+            )
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self._coeffs])
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        """Integer power by repeated squaring (exponent >= 0)."""
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative integer powers: use inverse() explicitly")
-        result = TruncatedSeries.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):

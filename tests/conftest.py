@@ -2,7 +2,7 @@
 
 import pytest
 
-from stirlingexp import coefficients
+from stirlingexp import coefficients, combinat
 
 # the memoised functions, every attribute of coefficients with a cache;
 # bound here so that a test that patches a module name still has the
@@ -14,11 +14,13 @@ MEMOISED = tuple(
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts with the routes and inverse series uncomputed.
+    """Every test starts with the routes, inverse series and count rows
+    uncomputed.
 
     A test that patches what a route reads (combinat.stirling2_assoc,
     say) then sees the route recomputed, not a value cached earlier.
     """
     for func in MEMOISED:
         func.cache_clear()
+    combinat._row_cache.clear()
     yield

@@ -114,11 +114,7 @@ def test_coeffs_mismatch_is_flagged_at_its_index_only(capsys, monkeypatch):
     assert json.loads(out)["agreed"] is False
 
 
-@pytest.mark.parametrize("command", ["coeffs", "verify"])
-def test_inverse_table_disagreement_is_an_identity_failure(
-    capsys, monkeypatch, command
-):
-    """x^3 off by one in the recurrence: exit 1 naming x^3, not a traceback."""
+def _corrupt_recurrence_at_x3(monkeypatch):
     original = coefficients.inverse_series_by_recurrence
 
     def corrupted(kind, order):
@@ -127,6 +123,14 @@ def test_inverse_table_disagreement_is_an_identity_failure(
         return TruncatedSeries(coeffs, order=order)
 
     monkeypatch.setattr(coefficients, "inverse_series_by_recurrence", corrupted)
+
+
+@pytest.mark.parametrize("command", ["coeffs", "verify"])
+def test_inverse_table_disagreement_is_an_identity_failure(
+    capsys, monkeypatch, command
+):
+    """x^3 off by one in the recurrence: exit 1 naming x^3, not a traceback."""
+    _corrupt_recurrence_at_x3(monkeypatch)
     code, out, err = run_cli(capsys, [command, "--max", "3"])
     assert code == 1
     assert out == ""
@@ -794,6 +798,78 @@ def test_unwritable_output_is_usage_error(capsys, monkeypatch, tmp_path, argv):
     assert err.startswith("error: cannot open --output:")
     assert str(target) in err
     assert not target.exists()
+
+
+def test_failed_command_leaves_an_existing_output_intact(
+    capsys, monkeypatch, tmp_path
+):
+    # the inverse table's self-check raises after --output was opened; the
+    # file keeps its bytes and mode, and no temporary file is left beside it
+    target = tmp_path / "table.txt"
+    target.write_text("an earlier table\n", encoding="utf-8")
+    target.chmod(0o640)
+    _corrupt_recurrence_at_x3(monkeypatch)
+    code, out, err = run_cli(capsys, ["--output", str(target), "coeffs", "--max", "3"])
+    assert (code, out) == (1, "")
+    assert "inverse-table routes disagree at x^3:" in err
+    assert target.read_text(encoding="utf-8") == "an earlier table\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["table.txt"]
+
+
+def test_output_replaces_a_file_and_keeps_its_mode(capsys, monkeypatch, tmp_path):
+    # through a symlink the file it names is replaced; a table with a
+    # mismatch (exit 1) is still data, so it replaces the file too
+    target = tmp_path / "table.txt"
+    target.write_text("x" * 10000, encoding="utf-8")
+    target.chmod(0o604)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    _, direct, _ = run_cli(capsys, ["coeffs", "--max", "3"])
+    code, out, _ = run_cli(capsys, ["--output", str(link), "coeffs", "--max", "3"])
+    assert (code, out) == (0, "")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == direct
+    assert target.stat().st_mode & 0o777 == 0o604
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "table.txt"]
+
+    monkeypatch.setitem(coefficients._TABLES, "bernoulli", lambda k: (0,) * (k + 1))
+    code, _, _ = run_cli(capsys, ["--output", str(link), "coeffs", "--max", "3"])
+    assert code == 1
+    assert target.read_text(encoding="utf-8").count("[MISMATCH]") == 4
+
+
+def test_new_output_file_gets_the_umask_mode(capsys, tmp_path):
+    target = tmp_path / "new.txt"
+    old_mask = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(capsys, ["--output", str(target), "coeffs", "--max", "2"])
+    finally:
+        os.umask(old_mask)
+    assert code == 0
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["new.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_output_to_a_fifo_is_written_in_place(tmp_path):
+    # a rename over a FIFO would replace the node, and its reader would
+    # never see the data
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; print(open(sys.argv[1]).read(), end='')",
+         str(fifo)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        code = cli.main(["--output", str(fifo), "series", "--which", "inv-exp"])
+        text, _ = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert code == 0
+    assert text.startswith("inv-exp(x) = x")
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlingexp import coefficients, combinat
+from stirlingexp import coefficients
 from stirlingexp.coefficients import (
     COEFF_METHODS,
     coeff_via_derangement_sum,
@@ -348,8 +348,7 @@ def _reached(method):
 
 
 @pytest.mark.parametrize("method", COEFF_METHODS)
-def test_each_route_reaches_only_its_row(monkeypatch, method):
-    # cold caches: the coefficients caches are cleared for every test,
-    # and combinat's rows start empty here
-    monkeypatch.setattr(combinat, "_row_cache", {})
+def test_each_route_reaches_only_its_row(method):
+    # cold caches: the coefficients caches and combinat's rows are
+    # cleared for every test
     assert _reached(method) == REACH[method]

@@ -268,15 +268,6 @@ def test_multiplicative_inverse():
         TruncatedSeries.x(3).inverse()
 
 
-def test_integer_power():
-    f = TruncatedSeries([0, 1, 1], order=6)
-    assert f**0 == TruncatedSeries.one(6)
-    assert f**1 == f
-    assert f**3 == f * f * f
-    with pytest.raises(ValueError):
-        f ** (-2)
-
-
 def test_egf_coefficient_of_plain_exponential():
     e = TruncatedSeries.x(9).exp()
     for n in range(10):

@@ -36,6 +36,29 @@ def _imported_modules(node):
     return []
 
 
+def test_every_module_level_import_is_used():
+    # an import that nothing reads costs every command's start-up and
+    # tells the reader of a dependency that is not there
+    found = []
+    for path in sorted(Path(stirlingexp.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            f"{path.name}:{node.lineno} {bound}"
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.split(".")[0]]
+            if bound not in read
+        ]
+    assert found == []
+
+
 # module -> the package files that may import it.  The exact layers
 # start without mpmath; only the numeric validation needs it.  No file
 # imports dataclasses, which with inspect would cost every command's
