@@ -13,7 +13,10 @@ it):
     2014); with N panels its relative error is exactly
     sum_{m = n mod N, m != n} n^(m-n) n!/m!.  The integrand is even, so
     only the half range is evaluated, with half the panels, and the
-    result doubled.
+    result doubled.  It is Re(z(u)^n) with z(u) = exp(e^(iu) - 1 - iu),
+    which does not depend on n: each node's z is computed once per
+    working precision in a process and kept in fixed point, and a call
+    raises it to the power n in integers.
 
 The expansion is divergent for fixed n, so truncation indices are always
 caller-supplied; nothing here auto-selects an order.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 # ahead of mpmath on purpose: where bytecode is not cached, these
 # modules are compiled on import, and compiled after mpmath has loaded
@@ -33,6 +37,7 @@ from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, _lift
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fone, mpc_exp, mpf_cos_sin, mpf_sub, round_nearest, to_fixed
 
 __all__ = [
     "ApproxReport",
@@ -45,10 +50,13 @@ __all__ = [
 # extra working bits so the final rounding to the requested precision is clean
 _GUARD_BITS = 24
 
-# at 128 bits, on one core of a 2-vCPU VM: n = 10^5 settles at 8192
-# panels in 0.25 s, 10^6 at 32768 in 1.0 s, 4 * 10^6 and 8 * 10^6 at
-# 65536 in about 2 s, and 1.6 * 10^7 fails after 1.9 s; a call
-# evaluates the integrand at most 32769 times
+# at 128 bits, in fresh processes on one core of a shared 2-vCPU VM,
+# whose runs spread widely: n = 10^5 settles at 8192 panels in
+# 0.16-0.28 s, 10^6 at 32768 in 0.6-0.9 s, 4 * 10^6 and 8 * 10^6 at
+# 65536 in 1.3-2.0 s, and 1.6 * 10^7 fails after 1.2-1.5 s; a call
+# evaluates the integrand at most 32769 times, and at the cap the node
+# cache holds 32769 pairs per precision (5.1 MB at 128 bits, 12.3 MB
+# at 1024 bits)
 _MAX_PANELS = 65536
 
 # full-range panels of the first pass; the count doubles from here
@@ -156,19 +164,81 @@ def approx_factorial(
         )
 
 
-def _integrand_at(n: int, u: mpmath.mpf) -> mpmath.mpf:
-    """Real part of exp(n(e^(iu) - 1 - iu)), at u = theta/sqrt(n).
+def _z_at(u: mpmath.mpf) -> mpmath.mpc:
+    """z(u) = exp(e^(iu) - 1 - iu), at the caller's current precision.
 
-    Written without complex arithmetic, with one cos_sin evaluation:
-    e^(n(cos u - 1)) * cos(n(sin u - u)).  Evaluates at the caller's
-    current mpmath precision.  It is even in u and, for integer n,
-    entire and 2 pi-periodic: its Fourier series is
-    e^-n sum_m n^m/m! cos((m - n) u), which is why the trapezoidal rule
-    of stirling_ratio_quadrature converges geometrically (Trefethen &
-    Weideman, SIAM Review 56(3), 2014).
+    One cos_sin and one complex exp.  z does not depend on n: for integer
+    n the quadrature's integrand, at u = theta/sqrt(n), is
+    Re(z(u)^n) = e^(n(cos u - 1)) cos(n(sin u - u)).  z is 2 pi-periodic
+    and z(-u) is the conjugate of z(u), so the integrand is even; it is
+    entire, and its Fourier series is e^-n sum_m n^m/m! cos((m - n) u),
+    which is why the trapezoidal rule of stirling_ratio_quadrature
+    converges geometrically (Trefethen & Weideman, SIAM Review 56(3),
+    2014).
+
+    The work runs in mpmath's libmp layer, rounded to nearest as mp's
+    own arithmetic is; the same steps through mp.cos_sin and mp.exp,
+    with every intermediate wrapped as an mpf, took about a quarter
+    longer.
     """
-    cos_u, sin_u = mp.cos_sin(u)
-    return mp.exp(n * (cos_u - 1)) * mp.cos(n * (sin_u - u))
+    prec, u = mp.prec, u._mpf_
+    cos_u, sin_u = mpf_cos_sin(u, prec, round_nearest)
+    w = (
+        mpf_sub(cos_u, fone, prec, round_nearest),
+        mpf_sub(sin_u, u, prec, round_nearest),
+    )
+    return mp.make_mpc(mpc_exp(w, prec, round_nearest))
+
+
+# levels of _nodes kept in a process: the 16 levels that reach the
+# _MAX_PANELS cap, at two precisions
+_NODE_LEVELS_KEPT = 32
+
+
+@lru_cache(maxsize=_NODE_LEVELS_KEPT)
+def _nodes(wp: int, level: int) -> tuple[tuple[int, int], ...]:
+    """z at the half-range nodes that doubling level ``level`` adds.
+
+    Level 0 is u = 0 and pi; level L >= 1 is the odd multiples of
+    pi/2^L, the midpoints of the 2^(L-1) half-range panels before it, so
+    levels 0..L are the grid of 2^(L+1) full-range panels.  Each value is
+    computed at wp bits, checked to be finite, and stored as the integer
+    pair (Re z, Im z) * 2^wp, rounded down.  The nodes depend on neither
+    n nor the pass, so a process computes each once per precision and
+    keeps the last _NODE_LEVELS_KEPT levels it used: at the _MAX_PANELS
+    cap one precision holds 32769 pairs, 5.1 MB at wp = 152 (128 bits)
+    and 12.3 MB at wp = 1048 (1024 bits), and the cache at most twice
+    that.  A non-finite value raises ArithmeticError.
+    """
+    with mp.workprec(wp):
+        step = mp.pi / 2**level
+        values = []
+        for j in range(1, 2**level, 2) if level else (0, 1):
+            z = _z_at(j * step)
+            if not mp.isfinite(z):
+                raise ArithmeticError
+            values.append(tuple(to_fixed(part, wp) for part in z._mpc_))
+    return tuple(values)
+
+
+def _real_power(z: tuple[int, int], n: int, wp: int) -> int:
+    """Re(z^n) * 2^wp, by binary powering of the fixed-point pair z.
+
+    Each product is cut back to wp fractional bits with >> wp, and a
+    power that has fallen to 0 stays 0, so the loop stops there.  With
+    |z| <= 1, a relative error of 2^-wp in z, or in any square on the
+    way, grows to about n 2^-wp in z^n: the result loses about log2(n)
+    bits, as the product n(cos u - 1) in the exponent of
+    e^(n(cos u - 1)) already does.
+    """
+    x, y = z
+    for bit in bin(n)[3:]:
+        x, y = (x + y) * (x - y) >> wp, (x * y) >> (wp - 1)
+        if bit == "1":
+            x, y = (x * z[0] - y * z[1]) >> wp, (x * z[1] + y * z[0]) >> wp
+        if not (x or y):
+            return 0
+    return x
 
 
 def stirling_ratio_quadrature(
@@ -189,39 +259,48 @@ def stirling_ratio_quadrature(
     integrand is even, so only the half range [0, pi] is evaluated, with
     half the panels.
 
+    The integrand is Re(z(u)^n) with z(u) = exp(e^(iu) - 1 - iu), which
+    does not depend on n.  z is computed once per working precision and
+    node in a process and kept in fixed point (_nodes, which holds the
+    nodes of at most two precisions at the cap); each call raises
+    it to the power n in integers (_real_power) and sums each pass
+    exactly, so no transcendental is computed per (n, node).
+
     The full-range panel count starts at _START_PANELS and doubles, never
     past _MAX_PANELS, until two successive full-range results agree to
-    2^-(precision_bits/2); each doubling evaluates only the new
-    midpoints, so a run ending at P panels evaluates the integrand
-    P/2 + 1 times.  Failure to settle, or a non-finite
-    intermediate, raises ArithmeticError.  The result is the full-range
-    integral divided by sqrt(2 pi).
+    2^-(precision_bits/2); each doubling adds only the new midpoints, so
+    a run ending at P panels evaluates the integrand at P/2 + 1 nodes.
+    Failure to settle, or a non-finite node value, raises
+    ArithmeticError.  The result is the full-range integral divided by
+    sqrt(2 pi).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _require_precision(precision_bits)
-    panels = _START_PANELS
+    wp = precision_bits + _GUARD_BITS
     tolerance = mpmath.mpf(2) ** -(precision_bits // 2)
-    with mp.workprec(precision_bits + _GUARD_BITS):
+    with mp.workprec(wp):
         # twice the half range, taken back from u to theta
         scale = 2 * mp.sqrt(n)
-        step = mp.pi / (panels // 2)
-        ends = (_integrand_at(n, mp.mpf(0)) + _integrand_at(n, mp.pi)) / 2
-        interior = mp.fsum(_integrand_at(n, j * step) for j in range(1, panels // 2))
-        previous = scale * step * (ends + interior)
-        while 2 * panels <= _MAX_PANELS:
-            panels *= 2
-            step /= 2
-            # the new points are the midpoints of the previous panels
-            interior += mp.fsum(
-                _integrand_at(n, j * step) for j in range(1, panels // 2, 2)
-            )
-            current = scale * step * (ends + interior)
-            if not mpmath.isfinite(current):
+        # in units of 2^-wp: the two ends, plus twice every interior node
+        # so far
+        total = 0
+        previous = None
+        # levels 0..level are the nodes of 2^(level+1) full-range panels
+        for level in range(_MAX_PANELS.bit_length() - 1):
+            try:
+                level_sum = sum(_real_power(z, n, wp) for z in _nodes(wp, level))
+            except ArithmeticError as exc:
                 raise ArithmeticError(
                     f"quadrature produced a non-finite value at n={n}"
-                )
-            if abs(current - previous) <= tolerance:
+                ) from exc
+            total += 2 * level_sum if level else level_sum
+            panels = 2 ** (level + 1)
+            if panels < _START_PANELS:
+                continue
+            # scale * step * total/2, with step = 2 pi/panels
+            current = scale * mp.pi * mp.ldexp(mp.mpf(total), -wp) / panels
+            if previous is not None and abs(current - previous) <= tolerance:
                 result = current / mp.sqrt(2 * mp.pi)
                 with mp.workprec(precision_bits):
                     return +result

@@ -43,50 +43,69 @@ def test_quadrature_at_four_against_independent_expression():
     assert abs(quad - expected) < mpmath.mpf(10) ** -25
 
 
+# the working precision at which the tests below evaluate the integrand
+_WP = 140
+
+
+def _integrand(n, u):
+    """Re(z(u)^n) through the quadrature's two seams: the node value z(u),
+    made fixed point here, and its integer power."""
+    with mp.workprec(_WP):
+        z = asymptotic._z_at(u)
+        pair = (int(mp.ldexp(z.real, _WP)), int(mp.ldexp(z.imag, _WP)))
+        return mp.ldexp(asymptotic._real_power(pair, n, _WP), -_WP)
+
+
 def test_integrand_is_even():
-    with mp.workprec(140):
+    with mp.workprec(_WP):
         for n in (1, 5, 12):
             for t in ("0.37", "1.91", "2.6"):
-                theta = mp.mpf(t)
-                left = asymptotic._integrand_at(n, theta / mp.sqrt(n))
-                right = asymptotic._integrand_at(n, -theta / mp.sqrt(n))
-                assert left == right
+                u = mp.mpf(t) / mp.sqrt(n)
+                # z(-u) is the conjugate of z(u), to the bit ...
+                assert asymptotic._z_at(-u) == mp.conj(asymptotic._z_at(u))
+                # ... and the power of the conjugate has the same real
+                # part, but for the rounding of its products
+                assert abs(_integrand(n, u) - _integrand(n, -u)) <= (
+                    mpmath.mpf(2) ** -(_WP - 8)
+                ), (n, t)
 
 
 def test_integrand_is_two_pi_periodic():
-    # for integer n, n(sin u - u) moves by 2 pi n when u moves by 2 pi
-    with mp.workprec(140):
+    # z itself is 2 pi-periodic: e^(iu) is, and -iu moves by -2 pi i
+    with mp.workprec(_WP):
         for n in (1, 6, 12):
             for t in ("0", "0.37", "-1.91", "2.6"):
                 u = mp.mpf(t)
-                shifted = asymptotic._integrand_at(n, u + 2 * mp.pi)
-                assert abs(shifted - asymptotic._integrand_at(n, u)) <= (
+                shifted = asymptotic._z_at(u + 2 * mp.pi)
+                assert abs(shifted - asymptotic._z_at(u)) <= mpmath.mpf(2) ** -125
+                assert abs(_integrand(n, u + 2 * mp.pi) - _integrand(n, u)) <= (
                     mpmath.mpf(2) ** -125
                 ), (n, t)
 
 
 def test_integrand_matches_the_complex_form():
-    with mp.workprec(140):
+    with mp.workprec(_WP):
         for n in (1, 5, 12):
             for t in ("0", "0.37", "-1.91", "2.6", "9.5"):
-                theta = mp.mpf(t)
-                u = theta / mp.sqrt(n)
+                u = mp.mpf(t) / mp.sqrt(n)
                 expected = mp.re(mp.exp(n * (mp.expj(u) - 1 - 1j * u)))
-                got = asymptotic._integrand_at(n, u)
+                got = _integrand(n, u)
                 assert abs(got - expected) <= mpmath.mpf(2) ** -125, (n, t)
 
 
-def _record_points(monkeypatch) -> list:
-    """The points u at which the quadrature evaluates its integrand."""
-    points = []
-    original = asymptotic._integrand_at
+def _record(monkeypatch, name) -> list:
+    """The first argument of every call the quadrature makes to the
+    asymptotic function ``name``: the points u of _z_at, the node values
+    z of _real_power."""
+    seen = []
+    original = getattr(asymptotic, name)
 
-    def recording(n, u):
-        points.append(u)
-        return original(n, u)
+    def recording(first, *rest):
+        seen.append(first)
+        return original(first, *rest)
 
-    monkeypatch.setattr(asymptotic, "_integrand_at", recording)
-    return points
+    monkeypatch.setattr(asymptotic, name, recording)
+    return seen
 
 
 @pytest.mark.parametrize(
@@ -100,10 +119,13 @@ def _record_points(monkeypatch) -> list:
 def test_quadrature_panel_sequence_on_the_half_range(
     monkeypatch, n, bits, full_panels
 ):
-    points = _record_points(monkeypatch)
+    points = _record(monkeypatch, "_z_at")
+    powers = _record(monkeypatch, "_real_power")
     stirling_ratio_quadrature(n, bits)
-    # every point is evaluated once, and only on [0, pi]
+    # every point is evaluated once, and only on [0, pi], and each pass
+    # raises only its new node values to the power n
     assert len(set(points)) == len(points) == full_panels[-1] // 2 + 1
+    assert len(powers) == len(points)
     with mp.workprec(bits + asymptotic._GUARD_BITS):
         assert all(0 <= u <= mp.pi for u in points)
     # each pass adds only the midpoints of the one before, so the first
@@ -137,11 +159,11 @@ def test_quadrature_within_two_ulps_of_the_exact_ratio(n, bits):
 
 @pytest.mark.parametrize("n", [1, 20])
 def test_a_perturbed_integrand_misses_the_two_ulp_bound(monkeypatch, n):
-    original = asymptotic._integrand_at
+    original = asymptotic._real_power
     monkeypatch.setattr(
         asymptotic,
-        "_integrand_at",
-        lambda n, u: original(n, u) * (1 + mpmath.mpf(10) ** -30),
+        "_real_power",
+        lambda z, n, wp: original(z, n, wp) * (10**30 + 1) // 10**30,
     )
     quad = stirling_ratio_quadrature(n, 128)
     exact = stirling_ratio_exact(n, 128)
@@ -149,6 +171,36 @@ def test_a_perturbed_integrand_misses_the_two_ulp_bound(monkeypatch, n):
     # test above cannot see it, the two-ulp bound does
     assert abs(quad - exact) / exact > mpmath.mpf(2) ** -126
     assert abs(quad - exact) <= mpmath.mpf(2) ** -64
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_a_warm_node_cache_changes_no_result(bits):
+    cold = stirling_ratio_quadrature(30, bits)
+    asymptotic._nodes.cache_clear()
+    # warm at 128 bits, where n = 50 reaches every level that n = 30
+    # needs; a call at another precision must not see these nodes
+    for n in (1, 20, 50):
+        stirling_ratio_quadrature(n, 128)
+    warm = stirling_ratio_quadrature(30, bits)
+    assert warm.man_exp == cold.man_exp
+
+
+def test_each_node_is_computed_once_per_precision(monkeypatch):
+    # the node's two transcendentals, one cos_sin and one complex exp
+    calls = {"mpf_cos_sin": 0, "mpc_exp": 0}
+    for name in calls:
+        original = getattr(asymptotic, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(asymptotic, name, counting)
+    for n in range(1, 21):
+        stirling_ratio_quadrature(n, 128)
+    # n = 20 settles at 128 full-range panels, 65 nodes on the half range;
+    # one evaluation per (n, node) made 1172 of each
+    assert calls == {"mpf_cos_sin": 65, "mpc_exp": 65}
 
 
 @pytest.mark.parametrize("n", [10**5, pytest.param(10**6, marks=pytest.mark.slow)])
@@ -177,14 +229,20 @@ def test_exact_ratio_at_large_n_takes_well_under_a_second():
 
 
 def test_quadrature_non_finite_integrand_raises(monkeypatch):
-    monkeypatch.setattr(asymptotic, "_integrand_at", lambda n, u: mp.nan)
-    with pytest.raises(ArithmeticError, match="non-finite"):
+    # a node value is checked before it is made an integer, which would
+    # turn a NaN into a plain number
+    monkeypatch.setattr(asymptotic, "_z_at", lambda u: mp.mpc(mp.nan, 0))
+    with pytest.raises(ArithmeticError, match="non-finite value at n=5"):
         stirling_ratio_quadrature(5, 128)
+    # nothing of the failed pass stays cached
+    monkeypatch.undo()
+    quad, exact = stirling_ratio_quadrature(5, 128), stirling_ratio_exact(5, 128)
+    assert abs(quad - exact) / exact <= mpmath.mpf(2) ** -126
 
 
 def test_quadrature_that_does_not_settle_raises(monkeypatch):
     # n = 30 at 256 bits settles only at 256 full-range panels
-    points = _record_points(monkeypatch)
+    points = _record(monkeypatch, "_z_at")
     monkeypatch.setattr(asymptotic, "_MAX_PANELS", 16)
     with pytest.raises(ArithmeticError, match="failed to settle within 16 panels"):
         stirling_ratio_quadrature(30, 256)
