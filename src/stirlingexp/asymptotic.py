@@ -32,7 +32,7 @@ from functools import lru_cache
 # ahead of mpmath on purpose: where bytecode is not cached, these
 # modules are compiled on import, and compiled after mpmath has loaded
 # they raised the peak RSS of a numeric session by 1.0 MB
-from .coefficients import expansion_coefficients
+from .coefficients import coefficient_table
 from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, _lift
 
 import mpmath
@@ -144,7 +144,7 @@ def approx_factorial(
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     _require_precision(precision_bits)
-    coeffs = expansion_coefficients(terms)
+    coeffs = coefficient_table("bernoulli", terms)
     tail = _sum_over_powers(coeffs, n)
     exact = math.factorial(n)
     exact_mpf = _exact_mpf(exact)
@@ -337,7 +337,7 @@ def expansion_vs_quadrature(
         raise ValueError(f"terms must be >= 0, got {terms}")
     _require_precision(precision_bits)
     ratio = stirling_ratio_quadrature(n, precision_bits)
-    coeffs = expansion_coefficients(terms)
+    coeffs = coefficient_table("bernoulli", terms)
     tail = _sum_over_powers(coeffs, -n)
     with mp.workprec(precision_bits):
         series_value = mp.mpf(tail.numerator) / mp.mpf(tail.denominator)

@@ -20,9 +20,8 @@ checks it:
     _from_inverse; series exp_kernel (log), power_rational,
     egf_coefficient, core
   partition-sum, derangement-sum (alternating sums of 3-restricted
-    counts): coeff_via_partition_sum, generalized_partition_sum
-    (derangement for partition), _generalized_sum, _from_inverse;
-    combinat stirling2_assoc (derangement_assoc), _assoc, _validate, _rows
+    counts, one pass over the count rows): _sum_table, generalized_sums,
+    _from_inverse; combinat _rows
   inverse-table (reversion, checked at every power against a recurrence):
     _inverse_table, inverse_series, kernel, inverse_series_by_recurrence,
     _from_inverse; series exp_kernel, power_rational, reversion,
@@ -32,11 +31,11 @@ checks it:
     _bernoulli_exponent; combinat bernoulli_numbers; series inverse,
     egf_coefficient, exp, __add__, coeffs, core
 
-The four per-k routes, expansion_coefficients (the bernoulli table) and
-inverse_series are memoised (functools.cache), so a run that reaches one
-a_k, table or inverse series from several checks computes it once; no
-two routes share a cached value.  The sums and the recurrence add
-integer numerators over one common denominator, as the series kernels do.
+coefficient_table and inverse_series are memoised (functools.cache), one
+entry per (method, K) and per (kind, order), so a run that reads one
+table or inverse series from several checks computes it once; no two
+routes share a cached value.  The sums and the recurrence add integer
+numerators over one common denominator, as the series kernels do.
 """
 
 from __future__ import annotations
@@ -45,7 +44,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import islice
 
 from . import combinat
 from .series import (
@@ -62,14 +62,11 @@ __all__ = [
     "kernel",
     "coeff_via_exp_kernel",
     "coeff_via_log_kernel",
-    "coeff_via_partition_sum",
-    "coeff_via_derangement_sum",
     "expansion_coefficients",
     "inverse_series",
     "inverse_egf_by_lagrange",
     "inverse_series_by_recurrence",
-    "generalized_partition_sum",
-    "generalized_derangement_sum",
+    "generalized_sums",
     "coefficient_table",
     "CrossCheck",
     "verify_all",
@@ -107,63 +104,53 @@ def inverse_egf_by_lagrange(kind: str, k: int) -> Fraction:
     return power.egf_coefficient(k - 1)
 
 
-def _generalized_sum(count, k: int) -> Fraction:
-    # sum_{j=0}^{k-1} (-1)^j count(3, k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)),
-    # added as integers over (k+1)(k+3)...(3k-3), from j = k-1 down: the
-    # factor that lifts term j is (k+2j+1)(k+2j+3)...(3k-3), and after
-    # the last term it is the common denominator itself
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    total, lift = 0, 1
-    for j in range(k - 1, -1, -1):
-        total += (-1) ** j * count(3, k + 2 * j - 1, j) * lift
-        if j:
-            lift *= k + 2 * j - 1
-    return Fraction(total, lift)
+def generalized_sums(kind: str, m_max: int) -> tuple[Fraction, ...]:
+    """G(0) .. G(m_max), the generalized sums, from one pass over the rows.
 
-
-def generalized_partition_sum(k: int) -> Fraction:
-    """sum_j (-1)^j S(k+2j-1, j) / ((k+1)(k+3)...(k+2j-1)), blocks >= 3.
-
-    Equals the k-th Taylor coefficient of the exp-side inverse series.
+    G(m) = sum_j (-1)^j S(m+2j-1, j) / ((m+1)(m+3)...(m+2j-1)), with
+    S(n, j) the count of kind (combinat.KINDS) on n elements in j blocks
+    or cycles, each of size >= 3; on the derangement side G(m) carries
+    the sign (-1)^(m-1).  G(m) is the m-th Taylor coefficient of the
+    exp-side (partition) or log-side (derangement) inverse series, and
+    G(0) = 0.  Each count S(n, j) belongs to the one sum m = n - 2j + 1,
+    and rows 0 .. 3 m_max - 3 hold every count that some m <= m_max
+    reads.  The rows come in ascending n, so each sum meets its j in
+    ascending order and adds them as integers over its denominator
+    (m+1)(m+3)...(3m-3) by Horner's rule.
     """
-    return _generalized_sum(combinat.stirling2_assoc, k)
+    if kind not in combinat.KINDS:
+        raise ValueError(f"kind must be one of {combinat.KINDS}, got {kind!r}")
+    if m_max < 1:
+        raise ValueError(f"index must be >= 1, got {m_max}")
+    totals = [0] * (m_max + 1)
+    for n, row in enumerate(islice(combinat._rows(3, kind), 3 * m_max - 2)):
+        for j, count in enumerate(row):
+            m = n - 2 * j + 1
+            if m <= m_max:
+                totals[m] = totals[m] * (m + 2 * j - 1) + (-1) ** j * count
+    sign = -1 if kind == "derangement" else 1
+    return tuple(
+        Fraction(sign ** (m + 1) * total, math.prod(range(m + 1, 3 * m - 2, 2)))
+        for m, total in enumerate(totals)
+    )
 
 
-def generalized_derangement_sum(k: int) -> Fraction:
-    """Same sum over cycle counts, with sign (-1)^(k+j-1).
-
-    Equals the k-th Taylor coefficient of the log-side inverse series.
-    """
-    return (-1) ** (k - 1) * _generalized_sum(combinat.derangement_assoc, k)
-
-
-@cache
 def coeff_via_exp_kernel(k: int) -> Fraction:
     """a_k by Lagrange inversion on the truncated-exp kernel."""
     _require_index(k)
     return _from_inverse(inverse_egf_by_lagrange("exp", 2 * k + 1), k)
 
 
-@cache
 def coeff_via_log_kernel(k: int) -> Fraction:
     """a_k by Lagrange inversion on the truncated-log kernel."""
     _require_index(k)
     return _from_inverse(inverse_egf_by_lagrange("log", 2 * k + 1), k)
 
 
-@cache
-def coeff_via_partition_sum(k: int) -> Fraction:
-    """a_k as an alternating sum over 3-restricted set-partition counts."""
-    _require_index(k)
-    return _from_inverse(generalized_partition_sum(2 * k + 1), k)
-
-
-@cache
-def coeff_via_derangement_sum(k: int) -> Fraction:
-    """a_k as an alternating sum over 3-restricted permutation counts."""
-    _require_index(k)
-    return _from_inverse(generalized_derangement_sum(2 * k + 1), k)
+def _sum_table(kind: str, index_max: int) -> tuple[Fraction, ...]:
+    """a_0 .. a_index_max off the generalized sums at m = 2k+1."""
+    sums = generalized_sums(kind, 2 * index_max + 1)
+    return tuple(_from_inverse(sums[2 * k + 1], k) for k in range(index_max + 1))
 
 
 def _bernoulli_exponent(order: int) -> TruncatedSeries:
@@ -225,7 +212,6 @@ def inverse_series_by_recurrence(kind: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(values, order=order)
 
 
-@cache
 def expansion_coefficients(index_max: int) -> tuple[Fraction, ...]:
     """a_0 .. a_index_max, the bernoulli table: one exponential, all a_k."""
     _require_index(index_max)
@@ -250,21 +236,22 @@ def _inverse_table(index_max: int) -> tuple[Fraction, ...]:
 
 
 # the routes that compute one a_k at a time
-_METHOD_FUNCS = {
-    "exp-kernel": coeff_via_exp_kernel,
-    "log-kernel": coeff_via_log_kernel,
-    "partition-sum": coeff_via_partition_sum,
-    "derangement-sum": coeff_via_derangement_sum,
-}
+_METHOD_FUNCS = {"exp-kernel": coeff_via_exp_kernel, "log-kernel": coeff_via_log_kernel}
 # the routes that compute the whole table a_0..a_K at once
-_TABLES = {"bernoulli": expansion_coefficients, "inverse-table": _inverse_table}
+_TABLES = {
+    "partition-sum": partial(_sum_table, "partition"),
+    "derangement-sum": partial(_sum_table, "derangement"),
+    "bernoulli": expansion_coefficients,
+    "inverse-table": _inverse_table,
+}
 
 # methods that produce the expansion coefficients a_k themselves
 COEFF_METHODS = (*_METHOD_FUNCS, *_TABLES)
 
 
+@cache
 def coefficient_table(method: str, index_max: int) -> tuple[Fraction, ...]:
-    """a_0 .. a_index_max by the named method."""
+    """a_0 .. a_index_max by the named method, computed once per process."""
     _require_index(index_max)
     if method in _TABLES:
         return _TABLES[method](index_max)
@@ -304,9 +291,11 @@ def verify_all(
     """Compute a_0 .. a_index_max by each method and compare them exactly.
 
     This is the one agreement rule: index k is a mismatch unless every
-    method gives the same a_k.
+    method gives the same a_k, so at least one method is needed.
     """
     _require_index(index_max)
+    if not methods:
+        raise ValueError("a cross-check needs at least one method")
     tables = tuple((m, coefficient_table(m, index_max)) for m in methods)
     mismatches = tuple(
         k

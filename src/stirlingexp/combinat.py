@@ -16,12 +16,12 @@ comb_table runs it on decimal.Decimal under EXACT, a context in which
 any rounding raises, so every entry is the exact count: the rows are
 printed whole, and str() of a Decimal is linear in its length, where
 str() of an int is quadratic (CPython 3.11) and refused past 4300
-digits.  The single-value functions run it on int and return int: they
-read the rows through a cache of the rows computed so far, one per (r,
-kind), cut at a column width that starts at the requested k and doubles
-when a later call needs a wider column; a cold call for (r, n, k)
-therefore costs O(n k) and never recurses.  bernoulli_numbers keeps no
-state: each call is one series inverse.
+digits.  The single-value functions run it on int and return int: each
+call streams the rows cut at column k up to row n, and the process
+keeps none of them, so a call for (r, n, k) costs O(n k) and never
+recurses.  coefficients.generalized_sums walks the full int rows for
+r = 3 once per call.  bernoulli_numbers keeps no state either: each
+call is one series inverse.
 """
 
 from __future__ import annotations
@@ -108,23 +108,11 @@ def _rows(
         yield row
 
 
-# (r, kind) -> (width, rows computed so far, the generator that extends them)
-_row_cache: dict[tuple[int, str], tuple[int, list[list[int]], Iterator[list[int]]]] = {}
-
-
 def _assoc(r: int, n: int, k: int, kind: str) -> int:
     _validate(r, n=n, k=k)
     if n < r * k:
         return 0
-    entry = _row_cache.get((r, kind))
-    if entry is None or entry[0] < k:
-        # a wider column restarts the rows; doubling keeps restarts rare
-        width = k if entry is None else max(k, 2 * entry[0])
-        entry = _row_cache[r, kind] = (width, [], _rows(r, kind, width))
-    _, rows, source = entry
-    while len(rows) <= n:
-        rows.append(next(source))
-    return rows[n][k]
+    return next(islice(_rows(r, kind, k), n, None))[k]
 
 
 def stirling2_assoc(r: int, n: int, k: int) -> int:

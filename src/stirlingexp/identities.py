@@ -1,9 +1,12 @@
 """Mechanical verification of the identities tying the pieces together.
 
-Each check returns an IdentityReport: the contiguous index range lo..hi
-it covered and a left/right witness pair for every index at which the
-two sides differ; an empty witness list means the identity held over the
-whole range.  Checks that compare coefficient routes call those routes
+Every check takes the suite's size, an index or an order, and returns
+IdentityReports: each holds the contiguous index range lo..hi it covered
+and a left/right witness pair for every index at which the two sides
+differ; an empty witness list means the identity held over the whole
+range.  The checks that compare values at each index return one report
+per index.  Checks that compare coefficient routes read the routes'
+tables (coefficients.coefficient_table, computed once per process)
 rather than restating them.  Checks never assert; deciding what a
 failure means is left to the caller (the CLI maps any failure to a
 nonzero exit code).
@@ -25,17 +28,10 @@ the expansion).  All of it is exact rational arithmetic.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 
-from .coefficients import (
-    coeff_via_derangement_sum,
-    coeff_via_exp_kernel,
-    coeff_via_partition_sum,
-    expansion_coefficients,
-    generalized_derangement_sum,
-    generalized_partition_sum,
-    inverse_series,
-)
+from .coefficients import coefficient_table, generalized_sums, inverse_series
 from .series import TruncatedSeries, format_rational
 
 __all__ = [
@@ -91,34 +87,41 @@ def report_from_pairs(
     return IdentityReport(identity=identity, lo=lo, hi=hi, failures=failures)
 
 
-def check_sum_identity(k: int) -> IdentityReport:
-    """The partition-sum and derangement-sum routes to a_k agree.
+def _per_index(
+    identity: str, pairs: Iterable[tuple[int, Fraction, Fraction]]
+) -> list[IdentityReport]:
+    # one report for each (index, left, right) pair
+    return [report_from_pairs(identity, [pair]) for pair in pairs]
+
+
+def check_sum_identity(index_max: int) -> list[IdentityReport]:
+    """The partition-sum and derangement-sum routes agree at each a_k.
 
     Both routes are the generalized sum at 2k+1, differing only in the
     combinatorial count inside; this compares what the two routes
-    return.  k < 0 raises ValueError.
+    return, one report for each k = 0..index_max.  index_max < 0 raises
+    ValueError.
     """
-    left = coeff_via_partition_sum(k)
-    right = coeff_via_derangement_sum(k)
-    return report_from_pairs("sum-identity", [(k, left, right)])
+    left = coefficient_table("partition-sum", index_max)
+    right = coefficient_table("derangement-sum", index_max)
+    return _per_index("sum-identity", zip(range(index_max + 1), left, right))
 
 
-def check_generalized_sum_identity(k: int) -> IdentityReport:
-    """The two generalized sums agree for every k except k == 2.
+def check_generalized_sum_identity(index_max: int) -> list[IdentityReport]:
+    """The two generalized sums agree for every k = 1..index_max but k == 2.
 
     At k == 2 the sides differ by exactly 1 (the single index at which
     the two inverse series part ways), so there the check passes when
-    right - left == 1.
+    right - left == 1.  One report for each k; index_max < 1 raises
+    ValueError.
     """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    left = generalized_partition_sum(k)
-    right = generalized_derangement_sum(k)
-    if k == 2:
-        return report_from_pairs(
-            "sum-identity-general", [(k, right - left, Fraction(1))]
-        )
-    return report_from_pairs("sum-identity-general", [(k, left, right)])
+    left = generalized_sums("partition", index_max)
+    right = generalized_sums("derangement", index_max)
+    pairs = [
+        (k, right[k] - left[k], Fraction(1)) if k == 2 else (k, left[k], right[k])
+        for k in range(1, index_max + 1)
+    ]
+    return _per_index("sum-identity-general", pairs)
 
 
 def _series_pairs(
@@ -184,11 +187,12 @@ def check_differential_equations(order: int) -> list[IdentityReport]:
     return reports
 
 
-def check_derivative_vs_partition_sum(k: int) -> IdentityReport:
-    """The kernel-derivative and partition-sum routes to a_k agree."""
-    left = coeff_via_exp_kernel(k)
-    right = coeff_via_partition_sum(k)
-    return report_from_pairs("derivative-vs-partition-sum", [(k, left, right)])
+def check_derivative_vs_partition_sum(index_max: int) -> list[IdentityReport]:
+    """The kernel-derivative and partition-sum routes agree at each a_k."""
+    left = coefficient_table("exp-kernel", index_max)
+    right = coefficient_table("partition-sum", index_max)
+    pairs = zip(range(index_max + 1), left, right)
+    return _per_index("derivative-vs-partition-sum", pairs)
 
 
 def reciprocal_consistency(index_max: int) -> IdentityReport:
@@ -199,7 +203,7 @@ def reciprocal_consistency(index_max: int) -> IdentityReport:
     """
     if index_max < 1:
         raise ValueError(f"index_max must be >= 1, got {index_max}")
-    coeffs = expansion_coefficients(index_max)
+    coeffs = coefficient_table("bernoulli", index_max)
     alternating = TruncatedSeries(
         [(-1) ** k * a for k, a in enumerate(coeffs)], order=index_max
     )
@@ -212,15 +216,11 @@ def run_all(max_index: int) -> list[IdentityReport]:
     """Every identity check at a common size parameter, for the CLI."""
     if max_index < 3:
         raise ValueError(f"max_index must be >= 3, got {max_index}")
-    reports: list[IdentityReport] = []
-    for k in range(max_index + 1):
-        reports.append(check_sum_identity(k))
-    for k in range(1, max_index + 1):
-        reports.append(check_generalized_sum_identity(k))
+    reports = check_sum_identity(max_index)
+    reports.extend(check_generalized_sum_identity(max_index))
     reports.append(check_inverse_difference(max_index))
     reports.extend(check_implicit_equations(max_index))
     reports.extend(check_differential_equations(max_index))
-    for k in range(max_index + 1):
-        reports.append(check_derivative_vs_partition_sum(k))
+    reports.extend(check_derivative_vs_partition_sum(max_index))
     reports.append(reciprocal_consistency(max_index))
     return reports

@@ -2,7 +2,7 @@
 
 import pytest
 
-from stirlingexp import asymptotic, coefficients, combinat
+from stirlingexp import asymptotic, coefficients
 
 # the memoised functions, every attribute of coefficients with a cache,
 # and the quadrature's node values; bound here so that a test that
@@ -15,13 +15,12 @@ MEMOISED = (
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts with the routes, inverse series, count rows and
+    """Every test starts with the coefficient tables, inverse series and
     quadrature nodes uncomputed.
 
-    A test that patches what a route reads (combinat.stirling2_assoc,
-    say) then sees the route recomputed, not a value cached earlier.
+    A test that patches what a route reads (coefficients._TABLES, say)
+    then sees the route recomputed, not a table cached earlier.
     """
     for func in MEMOISED:
         func.cache_clear()
-    combinat._row_cache.clear()
     yield

@@ -68,14 +68,17 @@ def test_criterion_3_inverse_difference(capsys):
 
 
 def test_criterion_4_alternating_sum_identities(capsys):
-    plain_ok = all(identities.check_sum_identity(k).ok for k in range(13))
-    general_ok = all(
-        identities.check_generalized_sum_identity(k).ok for k in range(1, 26)
+    plain = identities.check_sum_identity(12)
+    general = identities.check_generalized_sum_identity(25)
+    covered = (
+        [r.lo for r in plain] == list(range(13))
+        and [r.lo for r in general] == list(range(1, 26))
     )
-    gap = identities.generalized_derangement_sum(
-        2
-    ) - identities.generalized_partition_sum(2)
-    ok = plain_ok and general_ok and gap == 1
+    gap = (
+        coefficients.generalized_sums("derangement", 2)[2]
+        - coefficients.generalized_sums("partition", 2)[2]
+    )
+    ok = covered and all(r.ok for r in plain + general) and gap == 1
     _verdict(
         capsys,
         "sum identity k <= 12; generalized form k <= 25 with unit gap at k = 2",

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -268,34 +269,49 @@ def test_verify_output_is_deterministic(capsys):
 def test_verify_computes_each_route_and_inverse_series_once(
     capsys, monkeypatch
 ):
-    # on cold caches: one reversion per inverse series (exp and log at
-    # order 6, exp at 13 for the inverse table), each a_k once per
-    # kernel route and once per count-sum route, and one Bernoulli table
-    # for both the reciprocal check and the bernoulli column
-    calls = {"reversion": 0, "lagrange": 0, "generalized_sum": 0, "bernoulli": 0}
+    # verify --max K runs identities.run_all(K), then
+    # coefficients.verify_all(K).  On cold caches that is one reversion
+    # per inverse series (exp and log at order K, exp at 2K+1 for the
+    # inverse table), each a_k once per kernel route, one pass of the
+    # generalized sums per kind for the count-sum tables (m <= 2K+1) and
+    # one for the generalized identity (m <= K), and one Bernoulli table
+    # for both the reciprocal check and the bernoulli column.  A second
+    # size computes all of it again: tables are kept per (method, K)
+    seen = []
 
     def counting(name, func):
         def counted(*args):
-            calls[name] += 1
+            seen.append(name)
             return func(*args)
         return counted
+
+    sums = coefficients.generalized_sums
+
+    def summing(kind, m_max):
+        seen.append(f"sums {kind} {m_max}")
+        return sums(kind, m_max)
 
     monkeypatch.setattr(
         TruncatedSeries, "reversion",
         counting("reversion", TruncatedSeries.reversion),
     )
     for name, key in [("inverse_egf_by_lagrange", "lagrange"),
-                      ("generalized_partition_sum", "generalized_sum"),
-                      ("generalized_derangement_sum", "generalized_sum"),
                       ("_bernoulli_exponent", "bernoulli")]:
         monkeypatch.setattr(
             coefficients, name, counting(key, getattr(coefficients, name))
         )
-    code, _, _ = run_cli(capsys, ["verify", "--max", "6"])
-    assert code == 0
-    assert calls == {
-        "reversion": 3, "lagrange": 2 * 7, "generalized_sum": 2 * 7, "bernoulli": 1
-    }
+    monkeypatch.setattr(coefficients, "generalized_sums", summing)
+    monkeypatch.setattr(identities, "generalized_sums", summing)
+    for size in (6, 4):
+        seen.clear()
+        code, _, _ = run_cli(capsys, ["verify", "--max", str(size)])
+        assert code == 0
+        assert Counter(seen) == {
+            "reversion": 3, "lagrange": 2 * (size + 1), "bernoulli": 1,
+            f"sums partition {2 * size + 1}": 1,
+            f"sums derangement {2 * size + 1}": 1,
+            f"sums partition {size}": 1, f"sums derangement {size}": 1,
+        }, size
 
 
 def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):
@@ -317,18 +333,19 @@ def test_verify_reports_failure_with_exit_code_one(capsys, monkeypatch):
 def test_corrupted_derangement_route_fails_both_checks_that_use_it(
     capsys, monkeypatch
 ):
-    """a_5 off by one in the derangement-sum route, wherever it is called."""
-    original = coefficients.coeff_via_derangement_sum
+    """a_5 off by one in the derangement-sum route, wherever it is read."""
+    original = coefficients._TABLES["derangement-sum"]
 
-    def corrupted(k):
-        return original(k) + (1 if k == 5 else 0)
+    def corrupted(index_max):
+        values = list(original(index_max))
+        if index_max >= 5:
+            values[5] += 1
+        return tuple(values)
 
-    monkeypatch.setattr(coefficients, "coeff_via_derangement_sum", corrupted)
-    monkeypatch.setattr(identities, "coeff_via_derangement_sum", corrupted)
-    monkeypatch.setitem(coefficients._METHOD_FUNCS, "derangement-sum", corrupted)
+    monkeypatch.setitem(coefficients._TABLES, "derangement-sum", corrupted)
 
-    report = identities.check_sum_identity(5)
-    assert [i for i, _, _ in report.failures] == [5]
+    reports = identities.check_sum_identity(5)
+    assert [i for r in reports for i, _, _ in r.failures] == [5]
 
     code, out, _ = run_cli(capsys, ["verify", "--max", "6", "--format", "json"])
     assert code == 1
@@ -360,29 +377,23 @@ def test_verify_rejects_csv_format(capsys):
     assert "invalid choice: 'csv'" in captured.err
 
 
-def _corrupt_route(name, check):
-    # the value at k = 5 off by one, through the name the check reads
+def _corrupt_entry(name, key, index, check, size):
+    # entry index of one table off by one, through the name the check
+    # reads: identities.coefficient_table(method, K) or
+    # identities.generalized_sums(kind, m_max), with key the method or kind
     def corrupt(monkeypatch):
         original = getattr(identities, name)
-        monkeypatch.setattr(
-            identities, name, lambda k: original(k) + (1 if k == 5 else 0)
-        )
-        return [check(5)]
+
+        def corrupted(first, last):
+            values = list(original(first, last))
+            if first == key:
+                values[index] += 1
+            return tuple(values)
+
+        monkeypatch.setattr(identities, name, corrupted)
+        return check(size)
 
     return corrupt
-
-
-def _corrupt_expansion_coefficients(monkeypatch):
-    # an even index: at an odd one the inverse moves by the same amount
-    original = identities.expansion_coefficients
-
-    def corrupted(index_max):
-        coeffs = list(original(index_max))
-        coeffs[4] += 1
-        return coeffs
-
-    monkeypatch.setattr(identities, "expansion_coefficients", corrupted)
-    return [identities.reciprocal_consistency(6)]
 
 
 def _corrupt_inverse_series(target_kind, check):
@@ -399,23 +410,25 @@ def _corrupt_inverse_series(target_kind, check):
 
     def corrupt(monkeypatch):
         monkeypatch.setattr(identities, "inverse_series", corrupted)
-        reports = check(6)
-        return reports if isinstance(reports, list) else [reports]
+        return check(6)
 
     return corrupt
 
 
-# (identity, corruption returning the reports of the check, witness index);
+# (identity, corruption returning what the check returns, witness index);
 # the implicit equations first see a change at x^4 of the inverse series
 # at x^5, the differential equations and the difference at x^4
 MUTATIONS = [
     ("sum-identity-general",
-     _corrupt_route("generalized_partition_sum",
-                    identities.check_generalized_sum_identity), 5),
+     _corrupt_entry("generalized_sums", "partition", 5,
+                    identities.check_generalized_sum_identity, 5), 5),
     ("derivative-vs-partition-sum",
-     _corrupt_route("coeff_via_exp_kernel",
-                    identities.check_derivative_vs_partition_sum), 5),
-    ("reciprocal-consistency", _corrupt_expansion_coefficients, 4),
+     _corrupt_entry("coefficient_table", "exp-kernel", 5,
+                    identities.check_derivative_vs_partition_sum, 5), 5),
+    # an even index: at an odd one the inverse moves by the same amount
+    ("reciprocal-consistency",
+     _corrupt_entry("coefficient_table", "bernoulli", 4,
+                    identities.reciprocal_consistency, 6), 4),
     ("inverse-difference",
      _corrupt_inverse_series("log", identities.check_inverse_difference), 4),
     ("implicit-exp",
@@ -437,8 +450,14 @@ MUTATIONS = [
 def test_each_check_fails_on_a_corrupted_value(
     capsys, monkeypatch, identity, corrupt, witness
 ):
-    (report,) = [r for r in corrupt(monkeypatch) if r.identity == identity]
-    assert report.failures[0][0] == witness
+    reports = corrupt(monkeypatch)
+    failures = [
+        failure
+        for r in (reports if isinstance(reports, list) else [reports])
+        if r.identity == identity
+        for failure in r.failures
+    ]
+    assert failures[0][0] == witness
 
     code, out, _ = run_cli(capsys, ["verify", "--max", "6", "--format", "json"])
     assert code == 1
@@ -833,6 +852,9 @@ def test_output_replaces_a_file_and_keeps_its_mode(capsys, monkeypatch, tmp_path
     assert target.stat().st_mode & 0o777 == 0o604
     assert sorted(os.listdir(tmp_path)) == ["link.txt", "table.txt"]
 
+    # the tables above are kept per (method, K), so the corrupt one must
+    # be computed anew
+    coefficients.coefficient_table.cache_clear()
     monkeypatch.setitem(coefficients._TABLES, "bernoulli", lambda k: (0,) * (k + 1))
     code, _, _ = run_cli(capsys, ["--output", str(link), "coeffs", "--max", "3"])
     assert code == 1

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -12,10 +13,8 @@ from hypothesis import given, settings, strategies as st
 from stirlingexp import coefficients
 from stirlingexp.coefficients import (
     COEFF_METHODS,
-    coeff_via_derangement_sum,
     coeff_via_exp_kernel,
     coeff_via_log_kernel,
-    coeff_via_partition_sum,
     coefficient_table,
     expansion_coefficients,
     inverse_egf_by_lagrange,
@@ -48,6 +47,17 @@ KNOWN_EXP_TABLE = (
 )
 KNOWN_LOG_TABLE = KNOWN_EXP_TABLE[:2] + (Fraction(2, 3),) + KNOWN_EXP_TABLE[3:]
 
+
+# the count-sum routes compute whole tables; a_k alone is the last entry
+# of the table that ends at it
+def coeff_via_partition_sum(k):
+    return coefficient_table("partition-sum", k)[k]
+
+
+def coeff_via_derangement_sum(k):
+    return coefficient_table("derangement-sum", k)[k]
+
+
 ENGINES = [
     coeff_via_exp_kernel,
     coeff_via_log_kernel,
@@ -70,16 +80,27 @@ def test_engines_agree_through_k8():
 
 def test_sum_routes_match_bernoulli_through_k60():
     table = expansion_coefficients(60)
-    for k in range(61):
-        expected = table[k]
-        assert coeff_via_partition_sum(k) == expected, k
-        assert coeff_via_derangement_sum(k) == expected, k
+    assert coefficient_table("partition-sum", 60) == table
+    assert coefficient_table("derangement-sum", 60) == table
 
 
 def test_negative_index_rejected():
     for engine in ENGINES:
         with pytest.raises(ValueError):
             engine(-1)
+
+
+def test_sum_tables_stay_small():
+    # one streamed pass over the count rows keeps about three rows and
+    # the running sums; a cache of every row computed held 8.7 MB here
+    tracemalloc.start()
+    try:
+        coefficient_table("partition-sum", 60)
+        coefficient_table("derangement-sum", 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_inverse_series_listings():
@@ -218,6 +239,12 @@ def test_cross_check_serialization():
     }
 
 
+def test_cross_check_needs_a_method():
+    # with no table, "every method gives the same a_k" holds nowhere
+    with pytest.raises(ValueError, match="at least one method"):
+        verify_all(3, [])
+
+
 def test_verify_all_reports_agreement():
     check = verify_all(6)
     assert check.agreed
@@ -233,14 +260,14 @@ def test_first_coefficient_is_one_for_every_method():
         assert coefficient_table(method, 0)[0] == 1
 
 
-# the six routes to a_k, each computing a_k alone (the two table routes
+# the six routes to a_k, each computing a_k alone (the four table routes
 # through the table that ends at a_k)
 ROUTES = {
     "exp-kernel": coeff_via_exp_kernel,
     "log-kernel": coeff_via_log_kernel,
     "partition-sum": coeff_via_partition_sum,
     "derangement-sum": coeff_via_derangement_sum,
-    "bernoulli": lambda k: expansion_coefficients(k)[k],
+    "bernoulli": lambda k: coefficient_table("bernoulli", k)[k],
     "inverse-table": lambda k: coefficient_table("inverse-table", k)[k],
 }
 ROUTE_PAIRS = st.sampled_from(list(combinations(COEFF_METHODS, 2)))
@@ -291,18 +318,12 @@ REACH = {
         *FIRST_ORDER,
     },
     "partition-sum": {
-        "coefficients.coeff_via_partition_sum",
-        "coefficients.generalized_partition_sum",
-        "coefficients._generalized_sum", "coefficients._from_inverse",
-        "combinat.stirling2_assoc", "combinat._assoc", "combinat._validate",
-        "combinat._rows",
+        "coefficients._sum_table", "coefficients.generalized_sums",
+        "coefficients._from_inverse", "combinat._rows",
     },
     "derangement-sum": {
-        "coefficients.coeff_via_derangement_sum",
-        "coefficients.generalized_derangement_sum",
-        "coefficients._generalized_sum", "coefficients._from_inverse",
-        "combinat.derangement_assoc", "combinat._assoc", "combinat._validate",
-        "combinat._rows",
+        "coefficients._sum_table", "coefficients.generalized_sums",
+        "coefficients._from_inverse", "combinat._rows",
     },
     "bernoulli": {
         "coefficients.expansion_coefficients",
@@ -349,6 +370,5 @@ def _reached(method):
 
 @pytest.mark.parametrize("method", COEFF_METHODS)
 def test_each_route_reaches_only_its_row(method):
-    # cold caches: the coefficients caches and combinat's rows are
-    # cleared for every test
+    # cold caches: the coefficients caches are cleared for every test
     assert _reached(method) == REACH[method]

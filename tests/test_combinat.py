@@ -222,8 +222,8 @@ def test_deep_cold_call_is_quick(count, r, n, k, expected):
 @pytest.mark.parametrize("kind", ["partition", "derangement"])
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
 def test_cut_rows_match_the_full_table(kind, r):
-    # single values come from rows cut at the requested column, restarted
-    # wider as k grows; the table comes from full rows
+    # single values come from rows cut at the requested column, streamed
+    # afresh by each call; the table comes from full rows
     count = stirling2_assoc if kind == "partition" else derangement_assoc
     rows = list(comb_table(r, 40, kind))
     assert [len(row) for row in rows] == [n // r + 1 for n in range(41)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingexp.coefficients import inverse_egf_by_lagrange
+from stirlingexp.coefficients import generalized_sums, inverse_egf_by_lagrange
 from stirlingexp.identities import (
     check_derivative_vs_partition_sum,
     check_differential_equations,
@@ -12,47 +12,69 @@ from stirlingexp.identities import (
     check_implicit_equations,
     check_inverse_difference,
     check_sum_identity,
-    generalized_derangement_sum,
-    generalized_partition_sum,
     report_from_pairs,
     run_all,
 )
 
 
+def _one_report_per_index(reports, identity, lo, hi):
+    assert [(r.identity, r.lo, r.hi) for r in reports] == [
+        (identity, k, k) for k in range(lo, hi + 1)
+    ]
+
+
 def test_sum_identity_holds_through_twelve():
-    for k in range(13):
-        report = check_sum_identity(k)
-        assert report.ok, (k, report.failures)
-        assert report.identity == "sum-identity"
-        assert (report.lo, report.hi) == (k, k)
+    reports = check_sum_identity(12)
+    _one_report_per_index(reports, "sum-identity", 0, 12)
+    for report in reports:
+        assert report.ok, (report.lo, report.failures)
 
 
 def test_generalized_sums_have_unit_seed():
-    # at k = 1 only the j = 0 term survives: the empty structure counts once
-    assert generalized_partition_sum(1) == 1
-    assert generalized_derangement_sum(1) == 1
+    # at m = 1 only the j = 0 term survives: the empty structure counts
+    # once; at m = 0 there is no term
+    assert generalized_sums("partition", 1) == (0, 1)
+    assert generalized_sums("derangement", 1) == (0, 1)
 
 
 def test_generalized_sums_reproduce_inverse_coefficients():
+    partition = generalized_sums("partition", 40)
+    derangement = generalized_sums("derangement", 40)
     for k in range(1, 41):
-        assert generalized_partition_sum(k) == inverse_egf_by_lagrange("exp", k)
-        assert generalized_derangement_sum(k) == inverse_egf_by_lagrange(
-            "log", k
-        )
+        assert partition[k] == inverse_egf_by_lagrange("exp", k)
+        assert derangement[k] == inverse_egf_by_lagrange("log", k)
+
+
+def test_generalized_sums_do_not_depend_on_the_size_asked_for():
+    # a pass to m_max skips the counts of larger m; each shorter table is
+    # a prefix of a longer one
+    for kind in ("partition", "derangement"):
+        widest = generalized_sums(kind, 30)
+        for m_max in range(1, 31):
+            assert generalized_sums(kind, m_max) == widest[: m_max + 1], m_max
+
+
+def test_generalized_sums_guards():
+    with pytest.raises(ValueError):
+        generalized_sums("partition", 0)
+    with pytest.raises(ValueError):
+        generalized_sums("composition", 5)
 
 
 def test_generalized_sum_identity_range():
-    for k in range(1, 26):
-        report = check_generalized_sum_identity(k)
-        assert report.ok, (k, report.failures)
+    reports = check_generalized_sum_identity(25)
+    _one_report_per_index(reports, "sum-identity-general", 1, 25)
+    for report in reports:
+        assert report.ok, (report.lo, report.failures)
 
 
 def test_generalized_sum_identity_gap_at_two():
     # the sides genuinely differ at k = 2, by exactly one
-    gap = generalized_derangement_sum(2) - generalized_partition_sum(2)
-    assert gap == 1
-    assert generalized_partition_sum(2) == Fraction(-1, 3)
-    assert generalized_derangement_sum(2) == Fraction(2, 3)
+    partition = generalized_sums("partition", 2)[2]
+    derangement = generalized_sums("derangement", 2)[2]
+    assert derangement - partition == 1
+    assert partition == Fraction(-1, 3)
+    assert derangement == Fraction(2, 3)
 
 
 def test_inverse_difference_is_half_square():
@@ -81,8 +103,10 @@ def test_differential_equations():
 
 
 def test_derivative_vs_partition_sum():
-    for k in range(11):
-        assert check_derivative_vs_partition_sum(k).ok, k
+    reports = check_derivative_vs_partition_sum(10)
+    _one_report_per_index(reports, "derivative-vs-partition-sum", 0, 10)
+    for report in reports:
+        assert report.ok, (report.lo, report.failures)
 
 
 def test_run_all_aggregates_everything():
@@ -108,6 +132,8 @@ def test_index_guards():
         check_sum_identity(-1)
     with pytest.raises(ValueError):
         check_generalized_sum_identity(0)
+    with pytest.raises(ValueError):
+        check_derivative_vs_partition_sum(-1)
     with pytest.raises(ValueError):
         check_inverse_difference(1)
     with pytest.raises(ValueError):
