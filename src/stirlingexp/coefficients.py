@@ -16,9 +16,8 @@ TruncatedSeries.__init__ and .order), as tests/test_coefficients.py
 checks it:
 
   exp-kernel, log-kernel (Lagrange inversion on the truncated kernel):
-    coeff_via_exp_kernel (log), inverse_egf_by_lagrange, kernel,
-    _from_inverse; series exp_kernel (log), power_rational,
-    egf_coefficient, core
+    _kernel_table, inverse_egf_by_lagrange, kernel, _from_inverse;
+    series exp_kernel (log), power_rational, egf_coefficient, core
   partition-sum, derangement-sum (alternating sums of 3-restricted
     counts, one pass over the count rows): _sum_table, generalized_sums,
     _from_inverse; combinat _rows
@@ -31,11 +30,11 @@ checks it:
     _bernoulli_exponent; combinat bernoulli_numbers; series inverse,
     egf_coefficient, exp, __add__, coeffs, core
 
-coefficient_table and inverse_series are memoised (functools.cache), one
-entry per (method, K) and per (kind, order), so a run that reads one
-table or inverse series from several checks computes it once; no two
-routes share a cached value.  The sums and the recurrence add integer
-numerators over one common denominator, as the series kernels do.
+coefficient_table is the one memo (functools.cache), one entry per
+(method, K), so a run that reads one table from several checks computes
+it once; no two routes share a cached value.  The sums and the
+recurrence add integer numerators over one common denominator, as the
+series kernels do.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ __all__ = [
     "COEFF_METHODS",
     "KERNELS",
     "kernel",
-    "coeff_via_exp_kernel",
-    "coeff_via_log_kernel",
     "expansion_coefficients",
     "inverse_series",
     "inverse_egf_by_lagrange",
@@ -135,16 +132,12 @@ def generalized_sums(kind: str, m_max: int) -> tuple[Fraction, ...]:
     )
 
 
-def coeff_via_exp_kernel(k: int) -> Fraction:
-    """a_k by Lagrange inversion on the truncated-exp kernel."""
-    _require_index(k)
-    return _from_inverse(inverse_egf_by_lagrange("exp", 2 * k + 1), k)
-
-
-def coeff_via_log_kernel(k: int) -> Fraction:
-    """a_k by Lagrange inversion on the truncated-log kernel."""
-    _require_index(k)
-    return _from_inverse(inverse_egf_by_lagrange("log", 2 * k + 1), k)
+def _kernel_table(kind: str, index_max: int) -> tuple[Fraction, ...]:
+    """a_0 .. a_index_max, each by Lagrange inversion on the kernel."""
+    return tuple(
+        _from_inverse(inverse_egf_by_lagrange(kind, 2 * k + 1), k)
+        for k in range(index_max + 1)
+    )
 
 
 def _sum_table(kind: str, index_max: int) -> tuple[Fraction, ...]:
@@ -161,7 +154,6 @@ def _bernoulli_exponent(order: int) -> TruncatedSeries:
     )
 
 
-@cache
 def inverse_series(kind: str, order: int) -> TruncatedSeries:
     """Compositional inverse of x * sqrt(kernel), as a series.
 
@@ -235,10 +227,10 @@ def _inverse_table(index_max: int) -> tuple[Fraction, ...]:
     )
 
 
-# the routes that compute one a_k at a time
-_METHOD_FUNCS = {"exp-kernel": coeff_via_exp_kernel, "log-kernel": coeff_via_log_kernel}
-# the routes that compute the whole table a_0..a_K at once
+# every route, computing the whole table a_0..a_K
 _TABLES = {
+    "exp-kernel": partial(_kernel_table, "exp"),
+    "log-kernel": partial(_kernel_table, "log"),
     "partition-sum": partial(_sum_table, "partition"),
     "derangement-sum": partial(_sum_table, "derangement"),
     "bernoulli": expansion_coefficients,
@@ -246,18 +238,16 @@ _TABLES = {
 }
 
 # methods that produce the expansion coefficients a_k themselves
-COEFF_METHODS = (*_METHOD_FUNCS, *_TABLES)
+COEFF_METHODS = tuple(_TABLES)
 
 
 @cache
 def coefficient_table(method: str, index_max: int) -> tuple[Fraction, ...]:
     """a_0 .. a_index_max by the named method, computed once per process."""
     _require_index(index_max)
-    if method in _TABLES:
-        return _TABLES[method](index_max)
-    if method not in _METHOD_FUNCS:
+    if method not in _TABLES:
         raise ValueError(f"unknown method {method!r}; expected one of {COEFF_METHODS}")
-    return tuple(map(_METHOD_FUNCS[method], range(index_max + 1)))
+    return _TABLES[method](index_max)
 
 
 class CrossCheck(namedtuple("CrossCheck", "index_max tables mismatches")):

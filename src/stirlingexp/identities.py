@@ -1,15 +1,17 @@
 """Mechanical verification of the identities tying the pieces together.
 
-Every check takes the suite's size, an index or an order, and returns
-IdentityReports: each holds the contiguous index range lo..hi it covered
-and a left/right witness pair for every index at which the two sides
-differ; an empty witness list means the identity held over the whole
-range.  The checks that compare values at each index return one report
-per index.  Checks that compare coefficient routes read the routes'
-tables (coefficients.coefficient_table, computed once per process)
-rather than restating them.  Checks never assert; deciding what a
-failure means is left to the caller (the CLI maps any failure to a
-nonzero exit code).
+Every check returns a list of IdentityReports: each holds the contiguous
+index range lo..hi it covered and a left/right witness pair for every
+index at which the two sides differ; an empty witness list means the
+identity held over the whole range.  The checks that compare values at
+each index take the largest index and return one report per index.
+Checks that compare coefficient routes read the routes' tables
+(coefficients.coefficient_table, computed once per process) rather than
+restating them.  A series check takes the exp-side and log-side inverse
+series b and c at one order, at least 2 (3 for the differential
+equations), or raises ValueError; run_all builds each series once.
+Checks never assert; deciding what a failure means is left to the
+caller (the CLI maps any failure to a nonzero exit code).
 
 The coefficient routes rest on one identification, made in
 coefficients: a_k = c_{2k+1} / (2^k k!), with c_m the m-th Taylor
@@ -130,27 +132,35 @@ def _series_pairs(
     return [(i, left[i], right[i]) for i in range(left.order + 1)]
 
 
-def check_inverse_difference(order: int) -> IdentityReport:
-    """log-side inverse minus exp-side inverse is exactly x^2/2."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    diff = inverse_series("log", order) - inverse_series("exp", order)
+def _common_order(b: TruncatedSeries, c: TruncatedSeries, least: int) -> int:
+    # the order both inverse series are known to, never truncated to fit
+    if b.order != c.order:
+        raise ValueError(f"inverse series differ in order: {b.order} and {c.order}")
+    if b.order < least:
+        raise ValueError(f"order must be >= {least}, got {b.order}")
+    return b.order
+
+
+def check_inverse_difference(
+    b: TruncatedSeries, c: TruncatedSeries
+) -> list[IdentityReport]:
+    """log-side inverse c minus exp-side inverse b is exactly x^2/2."""
+    order = _common_order(b, c, 2)
     target = TruncatedSeries.monomial(Fraction(1, 2), 2, order)
-    return report_from_pairs("inverse-difference", _series_pairs(diff, target))
+    return [report_from_pairs("inverse-difference", _series_pairs(c - b, target))]
 
 
-def check_implicit_equations(order: int) -> list[IdentityReport]:
+def check_implicit_equations(
+    b: TruncatedSeries, c: TruncatedSeries
+) -> list[IdentityReport]:
     """Both inverse series satisfy their defining implicit equations.
 
     exp side:  e^B - 1 - B == x^2/2, and the log form B == log(1 + B + x^2/2);
     log side:  C - x^2/2 == log(1 + C).
     """
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    b = inverse_series("exp", order)
-    c = inverse_series("log", order)
+    order = _common_order(b, c, 2)
     half_square = TruncatedSeries.monomial(Fraction(1, 2), 2, order)
-    reports = [
+    return [
         report_from_pairs(
             "implicit-exp", _series_pairs(b.exp() - 1 - b, half_square)
         ),
@@ -161,30 +171,27 @@ def check_implicit_equations(order: int) -> list[IdentityReport]:
             "implicit-exp-log", _series_pairs(b, (b + half_square).log1p())
         ),
     ]
-    return reports
 
 
-def check_differential_equations(order: int) -> list[IdentityReport]:
+def check_differential_equations(
+    b: TruncatedSeries, c: TruncatedSeries
+) -> list[IdentityReport]:
     """First-order differential equations for both inverse series.
 
     exp side:  B'B == x - (x^2/2) B';   log side:  C'C == xC + x.
     Derivatives drop one order, so the comparison runs through order-1.
     """
-    if order < 3:
-        raise ValueError(f"order must be >= 3, got {order}")
-    b = inverse_series("exp", order)
-    c = inverse_series("log", order)
+    order = _common_order(b, c, 3)
     bp, cp = b.derivative(), c.derivative()
     bt, ct = b.truncate(order - 1), c.truncate(order - 1)
     x = TruncatedSeries.x(order - 1)
     half_square = TruncatedSeries.monomial(Fraction(1, 2), 2, order - 1)
-    reports = [
+    return [
         report_from_pairs(
             "diffeq-exp", _series_pairs(bp * bt, x - half_square * bp)
         ),
         report_from_pairs("diffeq-log", _series_pairs(cp * ct, x * ct + x)),
     ]
-    return reports
 
 
 def check_derivative_vs_partition_sum(index_max: int) -> list[IdentityReport]:
@@ -195,7 +202,7 @@ def check_derivative_vs_partition_sum(index_max: int) -> list[IdentityReport]:
     return _per_index("derivative-vs-partition-sum", pairs)
 
 
-def reciprocal_consistency(index_max: int) -> IdentityReport:
+def reciprocal_consistency(index_max: int) -> list[IdentityReport]:
     """Inverting the alternating ratio series returns the expansion series.
 
     Build sum_k (-1)^k a_k x^k, take its multiplicative inverse as a
@@ -209,18 +216,20 @@ def reciprocal_consistency(index_max: int) -> IdentityReport:
     )
     recovered = alternating.inverse()
     pairs = [(k, recovered[k], coeffs[k]) for k in range(index_max + 1)]
-    return report_from_pairs("reciprocal-consistency", pairs)
+    return [report_from_pairs("reciprocal-consistency", pairs)]
 
 
 def run_all(max_index: int) -> list[IdentityReport]:
     """Every identity check at a common size parameter, for the CLI."""
     if max_index < 3:
         raise ValueError(f"max_index must be >= 3, got {max_index}")
-    reports = check_sum_identity(max_index)
-    reports.extend(check_generalized_sum_identity(max_index))
-    reports.append(check_inverse_difference(max_index))
-    reports.extend(check_implicit_equations(max_index))
-    reports.extend(check_differential_equations(max_index))
-    reports.extend(check_derivative_vs_partition_sum(max_index))
-    reports.append(reciprocal_consistency(max_index))
-    return reports
+    b, c = inverse_series("exp", max_index), inverse_series("log", max_index)
+    return (
+        check_sum_identity(max_index)
+        + check_generalized_sum_identity(max_index)
+        + check_inverse_difference(b, c)
+        + check_implicit_equations(b, c)
+        + check_differential_equations(b, c)
+        + check_derivative_vs_partition_sum(max_index)
+        + reciprocal_consistency(max_index)
+    )

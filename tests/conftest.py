@@ -15,8 +15,8 @@ MEMOISED = (
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    """Every test starts with the coefficient tables, inverse series and
-    quadrature nodes uncomputed.
+    """Every test starts with the coefficient tables and quadrature nodes
+    uncomputed.
 
     A test that patches what a route reads (coefficients._TABLES, say)
     then sees the route recomputed, not a table cached earlier.

@@ -308,7 +308,7 @@ def test_expansion_vs_quadrature_two_point_scaling():
 
 
 def test_reciprocal_consistency_report():
-    report = reciprocal_consistency(20)
+    [report] = reciprocal_consistency(20)
     assert report.ok
     assert report.identity == "reciprocal-consistency"
     assert (report.lo, report.hi) == (0, 20)

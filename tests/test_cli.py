@@ -396,29 +396,23 @@ def _corrupt_entry(name, key, index, check, size):
     return corrupt
 
 
-def _corrupt_inverse_series(target_kind, check):
-    # x^4 of one inverse series off by one
-    original = coefficients.inverse_series
-
-    def corrupted(kind, order):
-        series = original(kind, order)
-        if kind != target_kind:
-            return series
-        coeffs = list(series.coeffs)
-        coeffs[4] += 1
-        return TruncatedSeries(coeffs, order=series.order)
-
+def _corrupt_series(side, check):
+    # x^4 of one inverse series off by one, handed to the check with the
+    # true series of the other side
     def corrupt(monkeypatch):
-        monkeypatch.setattr(identities, "inverse_series", corrupted)
-        return check(6)
+        pair = {kind: coefficients.inverse_series(kind, 6) for kind in ("exp", "log")}
+        coeffs = list(pair[side].coeffs)
+        coeffs[4] += 1
+        pair[side] = TruncatedSeries(coeffs, order=6)
+        return check(pair["exp"], pair["log"])
 
     return corrupt
 
 
 # (identity, corruption returning what the check returns, witness index);
-# the implicit equations first see a change at x^4 of the inverse series
-# at x^5, the differential equations and the difference at x^4
-MUTATIONS = [
+# the table corruptions patch the name the check reads, so verify sees
+# them too
+TABLE_MUTATIONS = [
     ("sum-identity-general",
      _corrupt_entry("generalized_sums", "partition", 5,
                     identities.check_generalized_sum_identity, 5), 5),
@@ -429,18 +423,22 @@ MUTATIONS = [
     ("reciprocal-consistency",
      _corrupt_entry("coefficient_table", "bernoulli", 4,
                     identities.reciprocal_consistency, 6), 4),
+]
+# the implicit equations first see a change at x^4 of the inverse series
+# at x^5, the differential equations and the difference at x^4
+MUTATIONS = TABLE_MUTATIONS + [
     ("inverse-difference",
-     _corrupt_inverse_series("log", identities.check_inverse_difference), 4),
+     _corrupt_series("log", identities.check_inverse_difference), 4),
     ("implicit-exp",
-     _corrupt_inverse_series("exp", identities.check_implicit_equations), 5),
+     _corrupt_series("exp", identities.check_implicit_equations), 5),
     ("implicit-exp-log",
-     _corrupt_inverse_series("exp", identities.check_implicit_equations), 5),
+     _corrupt_series("exp", identities.check_implicit_equations), 5),
     ("implicit-log",
-     _corrupt_inverse_series("log", identities.check_implicit_equations), 5),
+     _corrupt_series("log", identities.check_implicit_equations), 5),
     ("diffeq-exp",
-     _corrupt_inverse_series("exp", identities.check_differential_equations), 4),
+     _corrupt_series("exp", identities.check_differential_equations), 4),
     ("diffeq-log",
-     _corrupt_inverse_series("log", identities.check_differential_equations), 4),
+     _corrupt_series("log", identities.check_differential_equations), 4),
 ]
 
 
@@ -448,17 +446,25 @@ MUTATIONS = [
     "identity,corrupt,witness", MUTATIONS, ids=[m[0] for m in MUTATIONS]
 )
 def test_each_check_fails_on_a_corrupted_value(
-    capsys, monkeypatch, identity, corrupt, witness
+    monkeypatch, identity, corrupt, witness
 ):
-    reports = corrupt(monkeypatch)
     failures = [
         failure
-        for r in (reports if isinstance(reports, list) else [reports])
+        for r in corrupt(monkeypatch)
         if r.identity == identity
         for failure in r.failures
     ]
     assert failures[0][0] == witness
 
+
+@pytest.mark.parametrize(
+    "identity,corrupt,witness", TABLE_MUTATIONS,
+    ids=[m[0] for m in TABLE_MUTATIONS],
+)
+def test_verify_shows_a_corrupted_table_at_its_witness(
+    capsys, monkeypatch, identity, corrupt, witness
+):
+    corrupt(monkeypatch)
     code, out, _ = run_cli(capsys, ["verify", "--max", "6", "--format", "json"])
     assert code == 1
     payload = json.loads(out)

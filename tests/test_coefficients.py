@@ -13,8 +13,6 @@ from hypothesis import given, settings, strategies as st
 from stirlingexp import coefficients
 from stirlingexp.coefficients import (
     COEFF_METHODS,
-    coeff_via_exp_kernel,
-    coeff_via_log_kernel,
     coefficient_table,
     expansion_coefficients,
     inverse_egf_by_lagrange,
@@ -48,21 +46,21 @@ KNOWN_EXP_TABLE = (
 KNOWN_LOG_TABLE = KNOWN_EXP_TABLE[:2] + (Fraction(2, 3),) + KNOWN_EXP_TABLE[3:]
 
 
-# the count-sum routes compute whole tables; a_k alone is the last entry
-# of the table that ends at it
-def coeff_via_partition_sum(k):
-    return coefficient_table("partition-sum", k)[k]
+# every route computes whole tables; a_k alone is the last entry of the
+# table that ends at it
+def _route(method):
+    def route(k):
+        return coefficient_table(method, k)[k]
+
+    route.__name__ = "coeff_via_" + method.replace("-", "_")
+    return route
 
 
-def coeff_via_derangement_sum(k):
-    return coefficient_table("derangement-sum", k)[k]
-
-
+# the two kernel routes (coefficients._kernel_table) and the two count-sum
+# routes (coefficients._sum_table)
 ENGINES = [
-    coeff_via_exp_kernel,
-    coeff_via_log_kernel,
-    coeff_via_partition_sum,
-    coeff_via_derangement_sum,
+    _route(method)
+    for method in ("exp-kernel", "log-kernel", "partition-sum", "derangement-sum")
 ]
 
 
@@ -260,16 +258,8 @@ def test_first_coefficient_is_one_for_every_method():
         assert coefficient_table(method, 0)[0] == 1
 
 
-# the six routes to a_k, each computing a_k alone (the four table routes
-# through the table that ends at a_k)
-ROUTES = {
-    "exp-kernel": coeff_via_exp_kernel,
-    "log-kernel": coeff_via_log_kernel,
-    "partition-sum": coeff_via_partition_sum,
-    "derangement-sum": coeff_via_derangement_sum,
-    "bernoulli": lambda k: coefficient_table("bernoulli", k)[k],
-    "inverse-table": lambda k: coefficient_table("inverse-table", k)[k],
-}
+# the six routes to a_k, each through the table that ends at a_k
+ROUTES = {method: _route(method) for method in COEFF_METHODS}
 ROUTE_PAIRS = st.sampled_from(list(combinations(COEFF_METHODS, 2)))
 
 
@@ -304,14 +294,14 @@ FIRST_ORDER = {
 }
 REACH = {
     "exp-kernel": {
-        "coefficients.coeff_via_exp_kernel",
+        "coefficients._kernel_table",
         "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
         "coefficients._from_inverse", "series.exp_kernel",
         "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",
         *FIRST_ORDER,
     },
     "log-kernel": {
-        "coefficients.coeff_via_log_kernel",
+        "coefficients._kernel_table",
         "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
         "coefficients._from_inverse", "series.log_kernel",
         "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",

@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingexp.coefficients import generalized_sums, inverse_egf_by_lagrange
+from stirlingexp.coefficients import (
+    generalized_sums,
+    inverse_egf_by_lagrange,
+    inverse_series,
+)
 from stirlingexp.identities import (
     check_derivative_vs_partition_sum,
     check_differential_equations,
@@ -15,6 +19,11 @@ from stirlingexp.identities import (
     report_from_pairs,
     run_all,
 )
+
+
+def _inverse_pair(order):
+    # the exp-side and log-side inverse series, as run_all builds them
+    return inverse_series("exp", order), inverse_series("log", order)
 
 
 def _one_report_per_index(reports, identity, lo, hi):
@@ -78,14 +87,14 @@ def test_generalized_sum_identity_gap_at_two():
 
 
 def test_inverse_difference_is_half_square():
-    report = check_inverse_difference(20)
+    [report] = check_inverse_difference(*_inverse_pair(20))
     assert report.ok
     assert report.identity == "inverse-difference"
     assert (report.lo, report.hi) == (0, 20)
 
 
 def test_implicit_equations():
-    reports = check_implicit_equations(15)
+    reports = check_implicit_equations(*_inverse_pair(15))
     assert [r.identity for r in reports] == [
         "implicit-exp",
         "implicit-log",
@@ -95,7 +104,7 @@ def test_implicit_equations():
 
 
 def test_differential_equations():
-    reports = check_differential_equations(15)
+    reports = check_differential_equations(*_inverse_pair(15))
     assert [r.identity for r in reports] == ["diffeq-exp", "diffeq-log"]
     assert all(r.ok for r in reports)
     # derivative comparison runs one order lower than the input series
@@ -135,11 +144,19 @@ def test_index_guards():
     with pytest.raises(ValueError):
         check_derivative_vs_partition_sum(-1)
     with pytest.raises(ValueError):
-        check_inverse_difference(1)
-    with pytest.raises(ValueError):
-        check_differential_equations(2)
-    with pytest.raises(ValueError):
         run_all(2)
+    # a series check raises below its least order, and holds at it
+    for check, least in [(check_inverse_difference, 2),
+                         (check_implicit_equations, 2),
+                         (check_differential_equations, 3)]:
+        with pytest.raises(ValueError, match=f">= {least}, got {least - 1}"):
+            check(*_inverse_pair(least - 1))
+        assert all(r.ok for r in check(*_inverse_pair(least)))
+        # b and c at two orders raise; neither is cut to the other's order
+        for b_order, c_order in [(8, 7), (6, 8)]:
+            b, c = inverse_series("exp", b_order), inverse_series("log", c_order)
+            with pytest.raises(ValueError, match="differ in order"):
+                check(b, c)
 
 
 def test_failure_witness_is_recorded():
