@@ -14,9 +14,11 @@ it):
     sum_{m = n mod N, m != n} n^(m-n) n!/m!.  The integrand is even, so
     only the half range is evaluated, with half the panels, and the
     result doubled.  It is Re(z(u)^n) with z(u) = exp(e^(iu) - 1 - iu),
-    which does not depend on n: each node's z is computed once per
-    working precision in a process and kept in fixed point, and a call
-    raises it to the power n in integers.
+    which does not depend on n.  The nodes are roots of unity, so each
+    node's z is a short sum over a table of them, taken in integers
+    once per working precision in a process and kept in fixed point;
+    a call raises it to the power n in integers, and compares its
+    passes on their exact integer sums.
 
 The expansion is divergent for fixed n, so truncation indices are always
 caller-supplied; nothing here auto-selects an order.
@@ -37,7 +39,6 @@ from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, _lift
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fone, mpc_exp, mpf_cos_sin, mpf_sub, round_nearest, to_fixed
 
 __all__ = [
     "ApproxReport",
@@ -51,12 +52,12 @@ __all__ = [
 _GUARD_BITS = 24
 
 # at 128 bits, in fresh processes on one core of a shared 2-vCPU VM,
-# whose runs spread widely: n = 10^5 settles at 8192 panels in
-# 0.16-0.28 s, 10^6 at 32768 in 0.6-0.9 s, 4 * 10^6 and 8 * 10^6 at
-# 65536 in 1.3-2.0 s, and 1.6 * 10^7 fails after 1.2-1.5 s; a call
-# evaluates the integrand at most 32769 times, and at the cap the node
-# cache holds 32769 pairs per precision (5.1 MB at 128 bits, 12.3 MB
-# at 1024 bits)
+# whose runs spread widely (5 runs each): n = 10^5 settles at 8192
+# panels in 0.11 s, 10^6 at 32768 in 0.26-0.37 s, 4 * 10^6 and
+# 8 * 10^6 at 65536 in 0.53-1.09 s, and 1.6 * 10^7 fails after
+# 0.60-0.88 s; a call evaluates the integrand at most 32769 times, and
+# at the cap the node cache holds 32769 pairs per precision (5.2 MB at
+# 128 bits, 12.9 MB at 1024 bits)
 _MAX_PANELS = 65536
 
 # full-range panels of the first pass; the count doubles from here
@@ -164,30 +165,108 @@ def approx_factorial(
         )
 
 
-def _z_at(u: mpmath.mpf) -> mpmath.mpc:
-    """z(u) = exp(e^(iu) - 1 - iu), at the caller's current precision.
+# the node kernel sums the exponential series at h w, h = 2^-_HALVINGS,
+# where it needs fewer terms (83 instead of 176 at 1024 bits), and
+# squares the sum back _HALVINGS times; of 0, 4, 8 and 16 halvings, 8
+# was the fastest, or within a fifth of it, at every precision from 64
+# to 4096 bits
+_HALVINGS = 8
 
-    One cos_sin and one complex exp.  z does not depend on n: for integer
-    n the quadrature's integrand, at u = theta/sqrt(n), is
-    Re(z(u)^n) = e^(n(cos u - 1)) cos(n(sin u - u)).  z is 2 pi-periodic
-    and z(-u) is the conjugate of z(u), so the integrand is even; it is
-    entire, and its Fourier series is e^-n sum_m n^m/m! cos((m - n) u),
-    which is why the trapezoidal rule of stirling_ratio_quadrature
-    converges geometrically (Trefethen & Weideman, SIAM Review 56(3),
-    2014).
 
-    The work runs in mpmath's libmp layer, rounded to nearest as mp's
-    own arithmetic is; the same steps through mp.cos_sin and mp.exp,
-    with every intermediate wrapped as an mpf, took about a quarter
-    longer.
+# fractional bits the node kernel carries beyond the working precision,
+# besides one per squaring
+_KERNEL_GUARD_BITS = 10
+
+
+def _kernel_bits(wp: int) -> int:
+    """The fractional bits p of the node kernel at working precision wp."""
+    return wp + _KERNEL_GUARD_BITS + _HALVINGS
+
+
+def _root_cosines(level: int, p: int) -> list[int]:
+    """cos(2 pi k/N) * 2^p for k < N = 2^(level+1), N >= 4, in integers.
+
+    sin(2 pi k/N) is the cosine a quarter turn back, cosines[k - N/4]
+    (a negative index wraps), so one list serves both.  The table of the
+    4th roots is exact; each doubling keeps the old roots at the even
+    indices and makes each new one, at an odd index, as an old root
+    times the new primitive root w = e^(i theta/2), whose cosine is a
+    half-angle step, sqrt((1 + cos theta)/2), and whose sine is
+    sin theta/(2 cos(theta/2)), so that no root loses bits to a
+    cancellation.  Each step rounds down, and the errors add up by about
+    a unit of 2^-p per doubling (14 units at level 15, measured).
     """
-    prec, u = mp.prec, u._mpf_
-    cos_u, sin_u = mpf_cos_sin(u, prec, round_nearest)
-    w = (
-        mpf_sub(cos_u, fone, prec, round_nearest),
-        mpf_sub(sin_u, u, prec, round_nearest),
-    )
-    return mp.make_mpc(mpc_exp(w, prec, round_nearest))
+    one = 1 << p
+    cosines = [one, 0, -one, 0]
+    for _ in range(level - 1):
+        quarter = len(cosines) // 4
+        c = math.isqrt((one + cosines[1]) << (p - 1))
+        s = (cosines[1 - quarter] << (p - 1)) // c
+        doubled = [0] * (2 * len(cosines))
+        doubled[::2] = cosines
+        doubled[1::2] = [
+            (c * cosines[k] - s * cosines[k - quarter]) >> p
+            for k in range(len(cosines))
+        ]
+        cosines = doubled
+    return cosines
+
+
+def _series(p: int) -> tuple[int, int]:
+    """(M, e^-h * 2^p rounded down), h = 2^-_HALVINGS.
+
+    M is the number of terms of the series of e^(h w), |w| = 1, that
+    reach 2^-p: the least M with h^M/M! < 2^-p.  e^-h is that series at
+    w = -1, summed in the Horner scheme that _z_at sums each node by.
+    """
+    terms, bound = 0, 1
+    while bound <= 1 << p:
+        terms += 1
+        bound *= terms << _HALVINGS
+    damping = 0
+    for m in range(terms - 1, -1, -1):
+        damping = (-1) ** m * (1 << p) + damping // ((m + 1) << _HALVINGS)
+    return terms, damping
+
+
+def _z_at(
+    k: int, cosines: list[int], terms: int, damping: int, wp: int
+) -> tuple[int, int]:
+    """z(2 pi k/N) * 2^wp as the integer pair (Re, Im), rounded down.
+
+    z(u) = exp(e^(iu) - 1 - iu) does not depend on n: for integer n the
+    quadrature's integrand, at u = theta/sqrt(n), is
+    Re(z(u)^n) = e^(n(cos u - 1)) cos(n(sin u - u)).  At a root of unity
+    w^k = e^(iu), u = 2 pi k/N, z = conj(w^k) v^(2^_HALVINGS) with
+    v = exp(h (w^k - 1)) = e^-h sum_m h^m w^(km)/m!, h = 2^-_HALVINGS
+    (_series gives the terms and e^-h).  w^(km) is read off the table of
+    the N-th roots at index km mod N, so each part of the sum is a
+    Horner scheme whose every step adds a table entry to the running sum
+    divided by the small integer m 2^_HALVINGS: no multiplication, and
+    a cost per term linear in the precision.  |v| <= 1, and each
+    squaring at most doubles its error, which the one guard bit per
+    squaring absorbs; the other _KERNEL_GUARD_BITS absorb the table's
+    errors and the floors of the sum.  Each part of the result is
+    within two units of 2^-wp of z (about one unit at most, measured at
+    levels 0-9 and 64-1024 bits).
+    """
+    p = _kernel_bits(wp)
+    mask, quarter = len(cosines) - 1, len(cosines) // 4
+    k &= mask
+    re = im = 0
+    turn = k * (terms - 1) & mask
+    # the terms m = M-1 down to 0, each dividing the sum of the ones
+    # above it by (m + 1) 2^_HALVINGS
+    for divisor in range(terms << _HALVINGS, 0, -1 << _HALVINGS):
+        re = cosines[turn] + re // divisor
+        im = cosines[turn - quarter] + im // divisor
+        turn = (turn - k) & mask
+    x, y = re * damping >> p, im * damping >> p
+    for _ in range(_HALVINGS):
+        x, y = (x + y) * (x - y) >> p, (x * y) >> (p - 1)
+    c, s = cosines[k], cosines[k - quarter]
+    shift = 2 * p - wp
+    return (x * c + y * s) >> shift, (y * c - x * s) >> shift
 
 
 # levels of _nodes kept in a process: the 16 levels that reach the
@@ -201,42 +280,52 @@ def _nodes(wp: int, level: int) -> tuple[tuple[int, int], ...]:
 
     Level 0 is u = 0 and pi; level L >= 1 is the odd multiples of
     pi/2^L, the midpoints of the 2^(L-1) half-range panels before it, so
-    levels 0..L are the grid of 2^(L+1) full-range panels.  Each value is
-    computed at wp bits, checked to be finite, and stored as the integer
-    pair (Re z, Im z) * 2^wp, rounded down.  The nodes depend on neither
-    n nor the pass, so a process computes each once per precision and
-    keeps the last _NODE_LEVELS_KEPT levels it used: at the _MAX_PANELS
-    cap one precision holds 32769 pairs, 5.1 MB at wp = 152 (128 bits)
-    and 12.3 MB at wp = 1048 (1024 bits), and the cache at most twice
-    that.  A non-finite value raises ArithmeticError.
+    levels 0..L are the grid of 2^(L+1) full-range panels.  The nodes
+    are the 2^(L+1)-th roots of unity, and each value comes from their
+    table in integers (_z_at), as the pair (Re z, Im z) * 2^wp, rounded
+    down; no transcendental is computed.  The table is built for the
+    level and dropped with it.  |z(u)| = e^(cos u - 1) <= 1, so a value
+    off the unit disc by more than two units raises ArithmeticError.
+    The nodes depend on neither n nor the pass, so a process computes
+    each once per precision and keeps the last _NODE_LEVELS_KEPT levels
+    it used: at the _MAX_PANELS cap one precision holds 32769 pairs,
+    5.2 MB at wp = 152 (128 bits) and 12.9 MB at wp = 1048 (1024 bits),
+    and the cache at most twice that.  While the last level is built,
+    its table of 65536 cosines is held as well: a call at the cap peaks
+    at 9.3 MB (128 bits) and 24.8 MB (1024 bits) of tracemalloc.
     """
-    with mp.workprec(wp):
-        step = mp.pi / 2**level
-        values = []
-        for j in range(1, 2**level, 2) if level else (0, 1):
-            z = _z_at(j * step)
-            if not mp.isfinite(z):
-                raise ArithmeticError
-            values.append(tuple(to_fixed(part, wp) for part in z._mpc_))
+    p = _kernel_bits(wp)
+    cosines = _root_cosines(max(level, 1), p)
+    terms, damping = _series(p)
+    # at level 0 the table is of the 4th roots, so u = 0 and pi are 0 and 2
+    stride = len(cosines) >> (level + 1)
+    bound = ((1 << wp) + 2) ** 2
+    values = []
+    for j in range(1, 2**level, 2) if level else (0, 1):
+        x, y = _z_at(stride * j, cosines, terms, damping, wp)
+        if x * x + y * y > bound:
+            raise ArithmeticError
+        values.append((x, y))
     return tuple(values)
 
 
 def _real_power(z: tuple[int, int], n: int, wp: int) -> int:
     """Re(z^n) * 2^wp, by binary powering of the fixed-point pair z.
 
-    Each product is cut back to wp fractional bits with >> wp, and a
-    power that has fallen to 0 stays 0, so the loop stops there.  With
-    |z| <= 1, a relative error of 2^-wp in z, or in any square on the
-    way, grows to about n 2^-wp in z^n: the result loses about log2(n)
-    bits, as the product n(cos u - 1) in the exponent of
-    e^(n(cos u - 1)) already does.
+    Each product is cut back to wp fractional bits with >> wp, which
+    floors, so a power that has vanished below 2^-wp can read -1 as well
+    as 0; once both parts are within a unit of 0 they stay there, so
+    the loop stops and returns 0.  With |z| <= 1, a relative error of
+    2^-wp in z, or in any square on the way, grows to about n 2^-wp in
+    z^n: the result loses about log2(n) bits, as the product
+    n(cos u - 1) in the exponent of e^(n(cos u - 1)) already does.
     """
     x, y = z
     for bit in bin(n)[3:]:
         x, y = (x + y) * (x - y) >> wp, (x * y) >> (wp - 1)
         if bit == "1":
             x, y = (x * z[0] - y * z[1]) >> wp, (x * z[1] + y * z[0]) >> wp
-        if not (x or y):
+        if -1 <= x <= 1 and -1 <= y <= 1:
             return 0
     return x
 
@@ -260,17 +349,22 @@ def stirling_ratio_quadrature(
     half the panels.
 
     The integrand is Re(z(u)^n) with z(u) = exp(e^(iu) - 1 - iu), which
-    does not depend on n.  z is computed once per working precision and
-    node in a process and kept in fixed point (_nodes, which holds the
-    nodes of at most two precisions at the cap); each call raises
-    it to the power n in integers (_real_power) and sums each pass
-    exactly, so no transcendental is computed per (n, node).
+    does not depend on n.  The nodes are roots of unity, and z is
+    computed from a table of them in integers, once per working
+    precision and node in a process, and kept in fixed point (_nodes,
+    which holds the nodes of at most two precisions at the cap); each
+    call raises it to the power n in integers (_real_power) and sums
+    each pass exactly, so no transcendental is computed per node.
 
     The full-range panel count starts at _START_PANELS and doubles, never
     past _MAX_PANELS, until two successive full-range results agree to
     2^-(precision_bits/2); each doubling adds only the new midpoints, so
     a run ending at P panels evaluates the integrand at P/2 + 1 nodes.
-    Failure to settle, or a non-finite node value, raises
+    The test is decided on the exact sums: the result of a pass is
+    unit * T/P, with T its sum in units of 2^-wp, so two passes agree
+    when |T_L - 2 T_(L-1)| <= limit * P_L, with limit the tolerance
+    divided by unit, rounded down.  Only the settled result is made an
+    mpf.  Failure to settle, or a node value off the unit disc, raises
     ArithmeticError.  The result is the full-range integral divided by
     sqrt(2 pi).
     """
@@ -278,10 +372,12 @@ def stirling_ratio_quadrature(
         raise ValueError(f"n must be >= 1, got {n}")
     _require_precision(precision_bits)
     wp = precision_bits + _GUARD_BITS
-    tolerance = mpmath.mpf(2) ** -(precision_bits // 2)
     with mp.workprec(wp):
-        # twice the half range, taken back from u to theta
-        scale = 2 * mp.sqrt(n)
+        # twice the half range, taken back from u to theta, times pi: a
+        # pass of P panels whose sum is T units of 2^-wp gives unit * T/P
+        unit = mp.ldexp(2 * mp.sqrt(n) * mp.pi, -wp)
+        # the tolerance 2^-(precision_bits/2) in units of unit, rounded down
+        limit = int(mp.ldexp(1, -(precision_bits // 2)) / unit)
         # in units of 2^-wp: the two ends, plus twice every interior node
         # so far
         total = 0
@@ -292,19 +388,17 @@ def stirling_ratio_quadrature(
                 level_sum = sum(_real_power(z, n, wp) for z in _nodes(wp, level))
             except ArithmeticError as exc:
                 raise ArithmeticError(
-                    f"quadrature produced a non-finite value at n={n}"
+                    f"quadrature node value off the unit disc at n={n}"
                 ) from exc
             total += 2 * level_sum if level else level_sum
             panels = 2 ** (level + 1)
             if panels < _START_PANELS:
                 continue
-            # scale * step * total/2, with step = 2 pi/panels
-            current = scale * mp.pi * mp.ldexp(mp.mpf(total), -wp) / panels
-            if previous is not None and abs(current - previous) <= tolerance:
-                result = current / mp.sqrt(2 * mp.pi)
+            if previous is not None and abs(total - 2 * previous) <= limit * panels:
+                result = unit * mp.mpf(total) / panels / mp.sqrt(2 * mp.pi)
                 with mp.workprec(precision_bits):
                     return +result
-            previous = current
+            previous = total
     raise ArithmeticError(
         f"quadrature failed to settle within {_MAX_PANELS} panels at n={n}"
     )

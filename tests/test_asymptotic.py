@@ -1,7 +1,9 @@
 """Numeric behavior: quadrature accuracy, error scaling, precision plumbing."""
 
 import math
+import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -47,64 +49,118 @@ def test_quadrature_at_four_against_independent_expression():
 _WP = 140
 
 
-def _integrand(n, u):
-    """Re(z(u)^n) through the quadrature's two seams: the node value z(u),
-    made fixed point here, and its integer power."""
-    with mp.workprec(_WP):
-        z = asymptotic._z_at(u)
-        pair = (int(mp.ldexp(z.real, _WP)), int(mp.ldexp(z.imag, _WP)))
-        return mp.ldexp(asymptotic._real_power(pair, n, _WP), -_WP)
+def _kernel(level):
+    """z at index k of the node kernel's table of the 2^(level+1)-th
+    roots of unity (at least the 4th), at working precision _WP, and the
+    table's size."""
+    p = asymptotic._kernel_bits(_WP)
+    cosines = asymptotic._root_cosines(max(level, 1), p)
+    terms, damping = asymptotic._series(p)
+
+    def z_at(k):
+        return asymptotic._z_at(k, cosines, terms, damping, _WP)
+
+    return z_at, len(cosines)
+
+
+def _power(n, z):
+    """Re(z^n) through the quadrature's integer power, as an mpf."""
+    return mp.ldexp(asymptotic._real_power(z, n, _WP), -_WP)
 
 
 def test_integrand_is_even():
-    with mp.workprec(_WP):
-        for n in (1, 5, 12):
-            for t in ("0.37", "1.91", "2.6"):
-                u = mp.mpf(t) / mp.sqrt(n)
-                # z(-u) is the conjugate of z(u), to the bit ...
-                assert asymptotic._z_at(-u) == mp.conj(asymptotic._z_at(u))
-                # ... and the power of the conjugate has the same real
-                # part, but for the rounding of its products
-                assert abs(_integrand(n, u) - _integrand(n, -u)) <= (
+    # z(-u) is the conjugate of z(u): index N - k is -u on the table of
+    # N roots; the two are built by different products, so they agree to
+    # within the kernel's rounding ...
+    for level in (2, 4, 6):
+        z_at, size = _kernel(level)
+        for k in range(1, size // 2):
+            x, y = z_at(k)
+            xm, ym = z_at(size - k)
+            assert abs(xm - x) <= 2 and abs(ym + y) <= 2, (level, k)
+            # ... and the power of the conjugate has the same real part,
+            # but for the rounding of its products
+            for n in (1, 5, 12):
+                assert abs(_power(n, (x, y)) - _power(n, (xm, ym))) <= (
                     mpmath.mpf(2) ** -(_WP - 8)
-                ), (n, t)
+                ), (level, k, n)
 
 
 def test_integrand_is_two_pi_periodic():
-    # z itself is 2 pi-periodic: e^(iu) is, and -iu moves by -2 pi i
-    with mp.workprec(_WP):
-        for n in (1, 6, 12):
-            for t in ("0", "0.37", "-1.91", "2.6"):
-                u = mp.mpf(t)
-                shifted = asymptotic._z_at(u + 2 * mp.pi)
-                assert abs(shifted - asymptotic._z_at(u)) <= mpmath.mpf(2) ** -125
-                assert abs(_integrand(n, u + 2 * mp.pi) - _integrand(n, u)) <= (
-                    mpmath.mpf(2) ** -125
-                ), (n, t)
+    # z is 2 pi-periodic (e^(iu) is, and -iu moves by -2 pi i): an index
+    # a whole turn on, k + N, is reduced to k in every product of the
+    # kernel and gives the same value to the bit
+    for level in (0, 3, 5):
+        z_at, size = _kernel(level)
+        for k in range(size):
+            assert z_at(k + size) == z_at(k), (level, k)
 
 
 def test_integrand_matches_the_complex_form():
     with mp.workprec(_WP):
-        for n in (1, 5, 12):
-            for t in ("0", "0.37", "-1.91", "2.6", "9.5"):
-                u = mp.mpf(t) / mp.sqrt(n)
-                expected = mp.re(mp.exp(n * (mp.expj(u) - 1 - 1j * u)))
-                got = _integrand(n, u)
-                assert abs(got - expected) <= mpmath.mpf(2) ** -125, (n, t)
+        for level in range(6):
+            z_at, size = _kernel(level)
+            for k in range(size):
+                u = 2 * mp.pi * k / size
+                z = z_at(k)
+                for n in (1, 5, 12):
+                    expected = mp.re(mp.exp(n * (mp.expj(u) - 1 - 1j * u)))
+                    error = abs(_power(n, z) - expected)
+                    assert error <= mpmath.mpf(2) ** -125, (level, k, n)
 
 
-def _record(monkeypatch, name) -> list:
-    """The first argument of every call the quadrature makes to the
-    asymptotic function ``name``: the points u of _z_at, the node values
-    z of _real_power."""
+def _assert_nodes_within_two_units(wp, level, sample=1):
+    """Every ``sample``-th node the quadrature keeps at the level, each part
+    within 2 units of 2^-wp of z(u) taken 32 bits higher."""
+    values = asymptotic._nodes(wp, level)
+    points = range(1, 2**level, 2) if level else (0, 1)
+    with mp.workprec(wp + 32):
+        for j, (x, y) in list(zip(points, values))[::sample]:
+            u = j * mp.pi / 2**level
+            z = mp.exp(mp.expj(u) - 1 - 1j * u)
+            assert abs(mp.ldexp(z.real, wp) - x) <= 2, (wp, level, j)
+            assert abs(mp.ldexp(z.imag, wp) - y) <= 2, (wp, level, j)
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 1024])
+def test_each_node_is_within_two_units_of_z(bits):
+    wp = bits + asymptotic._GUARD_BITS
+    for level in range(9):
+        _assert_nodes_within_two_units(wp, level)
+
+
+@pytest.mark.slow
+def test_nodes_at_the_cap_level_are_within_two_units_of_z():
+    # level 15 completes the 65536 full-range panels of _MAX_PANELS; its
+    # table has been doubled 14 times from that of the 4th roots
+    _assert_nodes_within_two_units(128 + asymptotic._GUARD_BITS, 15, sample=7)
+
+
+def test_a_vanished_power_is_zero():
+    # z(pi) = -e^-2, so z(pi)^53 = -e^-106, about -2^-152.9: below one
+    # unit at wp = 152, where a floored product can stop at -1 unit
+    wp = 152
+    with mp.workprec(wp + 32):
+        z = (int(mp.floor(mp.ldexp(-mp.exp(-2), wp))), 0)
+    assert asymptotic._real_power(z, 53, wp) == 0
+    # a power still above the unit keeps its sign: -e^-102 is about
+    # -2^-147.2, some -27 units
+    assert -30 <= asymptotic._real_power(z, 51, wp) <= -24
+    # i 2^-wp squared is -2^-2wp: gone, not -1
+    assert asymptotic._real_power((0, 1), 2, wp) == 0
+
+
+def _record_nodes(monkeypatch) -> list:
+    """The node the quadrature computes at each call of _z_at, as the
+    point u/pi = 2k/N, N the size of its table of roots of unity."""
     seen = []
-    original = getattr(asymptotic, name)
+    original = asymptotic._z_at
 
-    def recording(first, *rest):
-        seen.append(first)
-        return original(first, *rest)
+    def recording(k, cosines, *rest):
+        seen.append(Fraction(2 * k, len(cosines)))
+        return original(k, cosines, *rest)
 
-    monkeypatch.setattr(asymptotic, name, recording)
+    monkeypatch.setattr(asymptotic, "_z_at", recording)
     return seen
 
 
@@ -119,25 +175,26 @@ def _record(monkeypatch, name) -> list:
 def test_quadrature_panel_sequence_on_the_half_range(
     monkeypatch, n, bits, full_panels
 ):
-    points = _record(monkeypatch, "_z_at")
-    powers = _record(monkeypatch, "_real_power")
+    points = _record_nodes(monkeypatch)
+    powers, original = [], asymptotic._real_power
+
+    def recording(z, *rest):
+        powers.append(z)
+        return original(z, *rest)
+
+    monkeypatch.setattr(asymptotic, "_real_power", recording)
     stirling_ratio_quadrature(n, bits)
     # every point is evaluated once, and only on [0, pi], and each pass
     # raises only its new node values to the power n
     assert len(set(points)) == len(points) == full_panels[-1] // 2 + 1
     assert len(powers) == len(points)
-    with mp.workprec(bits + asymptotic._GUARD_BITS):
-        assert all(0 <= u <= mp.pi for u in points)
+    assert all(0 <= u <= 1 for u in points)
     # each pass adds only the midpoints of the one before, so the first
     # P/2 + 1 points are the grid of P full-range panels
-    with mp.workprec(bits):
-        for panels in full_panels:
-            half = panels // 2
-            grid = sorted(u * half / mp.pi for u in points[: half + 1])
-            assert all(
-                abs(x - j) <= mpmath.mpf(2) ** -(bits // 2)
-                for j, x in enumerate(grid)
-            ), panels
+    for panels in full_panels:
+        half = panels // 2
+        grid = sorted(u * half for u in points[: half + 1])
+        assert grid == list(range(half + 1)), panels
 
 
 @pytest.mark.parametrize("n, bits", [(1, 128), (7, 128), (20, 128), (30, 256)])
@@ -186,21 +243,25 @@ def test_a_warm_node_cache_changes_no_result(bits):
 
 
 def test_each_node_is_computed_once_per_precision(monkeypatch):
-    # the node's two transcendentals, one cos_sin and one complex exp
-    calls = {"mpf_cos_sin": 0, "mpc_exp": 0}
-    for name in calls:
-        original = getattr(asymptotic, name)
+    # no transcendental runs at a node: the kernel is integer arithmetic
+    transcendentals = {"mpf_cos_sin": 0, "mpc_exp": 0, "mpf_exp": 0}
 
-        def counting(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def count(frame, event, arg):
+        name = frame.f_code.co_name
+        if event == "call" and name in transcendentals:
+            transcendentals[name] += 1
 
-        monkeypatch.setattr(asymptotic, name, counting)
-    for n in range(1, 21):
-        stirling_ratio_quadrature(n, 128)
+    points = _record_nodes(monkeypatch)
+    sys.setprofile(count)
+    try:
+        for n in range(1, 21):
+            stirling_ratio_quadrature(n, 128)
+    finally:
+        sys.setprofile(None)
+    assert transcendentals == {"mpf_cos_sin": 0, "mpc_exp": 0, "mpf_exp": 0}
     # n = 20 settles at 128 full-range panels, 65 nodes on the half range;
-    # one evaluation per (n, node) made 1172 of each
-    assert calls == {"mpf_cos_sin": 65, "mpc_exp": 65}
+    # one evaluation per (n, node) made 1172
+    assert len(points) == len(set(points)) == 65
 
 
 @pytest.mark.parametrize("n", [10**5, pytest.param(10**6, marks=pytest.mark.slow)])
@@ -228,11 +289,13 @@ def test_exact_ratio_at_large_n_takes_well_under_a_second():
     assert time.perf_counter() - start < 1.0
 
 
-def test_quadrature_non_finite_integrand_raises(monkeypatch):
-    # a node value is checked before it is made an integer, which would
-    # turn a NaN into a plain number
-    monkeypatch.setattr(asymptotic, "_z_at", lambda u: mp.mpc(mp.nan, 0))
-    with pytest.raises(ArithmeticError, match="non-finite value at n=5"):
+def test_quadrature_node_off_the_unit_disc_raises(monkeypatch):
+    # |z(u)| = e^(cos u - 1) <= 1, so a node value of modulus 2 is a
+    # fault of the kernel, not a number to sum
+    monkeypatch.setattr(
+        asymptotic, "_z_at", lambda k, cosines, terms, damping, wp: (0, 2 << wp)
+    )
+    with pytest.raises(ArithmeticError, match="off the unit disc at n=5"):
         stirling_ratio_quadrature(5, 128)
     # nothing of the failed pass stays cached
     monkeypatch.undo()
@@ -240,9 +303,26 @@ def test_quadrature_non_finite_integrand_raises(monkeypatch):
     assert abs(quad - exact) / exact <= mpmath.mpf(2) ** -126
 
 
+def test_node_bound_allows_two_units_off_the_disc(monkeypatch):
+    # a value two units past the unit circle passes, three fail
+    wp = 128 + asymptotic._GUARD_BITS
+    for excess, fails in ((2, False), (3, True)):
+        asymptotic._nodes.cache_clear()
+        monkeypatch.setattr(
+            asymptotic,
+            "_z_at",
+            lambda k, cosines, terms, damping, wp: ((1 << wp) + excess, 0),
+        )
+        if fails:
+            with pytest.raises(ArithmeticError):
+                asymptotic._nodes(wp, 0)
+        else:
+            assert asymptotic._nodes(wp, 0) == (((1 << wp) + 2, 0),) * 2
+
+
 def test_quadrature_that_does_not_settle_raises(monkeypatch):
     # n = 30 at 256 bits settles only at 256 full-range panels
-    points = _record(monkeypatch, "_z_at")
+    points = _record_nodes(monkeypatch)
     monkeypatch.setattr(asymptotic, "_MAX_PANELS", 16)
     with pytest.raises(ArithmeticError, match="failed to settle within 16 panels"):
         stirling_ratio_quadrature(30, 256)

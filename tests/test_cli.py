@@ -80,6 +80,15 @@ def test_coeffs_single_method_plain(capsys):
     assert lines[2] == "a_2: bernoulli=1/288 [ok]"
 
 
+def test_coeffs_at_max_zero_prints_one_row(capsys):
+    # the floor of --max: a_0 alone, by every method
+    code, out, err = run_cli(capsys, ["coeffs", "--max", "0"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "a_0: " + ", ".join(f"{m}=1" for m in coefficients.COEFF_METHODS) + " [ok]"
+    ]
+
+
 def test_coeffs_negative_max_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["coeffs", "--max", "-1"])
     assert code == 2
@@ -157,7 +166,7 @@ def test_arithmetic_error_subclass_is_not_an_identity_failure(monkeypatch):
         ["series", "--which", "exp-kernel", "--order", "1700"],
         ["verify", "--max", str(cli.VERIFY_MAX_K + 1)],
         ["verify", "--max", "1000000", "--format", "json"],
-        ["approx", "--n", "20", "--terms", str(cli.APPROX_MAX_TERMS + 1)],
+        ["approx", "--n", "20", "--terms", "601"],
         ["approx", "--n", "20", "--precision-bits",
          str(cli.APPROX_MAX_PRECISION_BITS + 1)],
     ],
@@ -572,6 +581,20 @@ def test_approx_n_ceiling_is_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "1000" in err
+
+
+def test_approx_at_the_terms_ceiling_runs(capsys, monkeypatch):
+    # 600 terms are accepted and reach the library (601 is a usage
+    # error, above); the stand-in keeps the run short
+    calls, original = [], asymptotic.approx_factorial
+
+    def recorded(n, terms, precision_bits):
+        calls.append(terms)
+        return original(n, 1, precision_bits)
+
+    monkeypatch.setattr(asymptotic, "approx_factorial", recorded)
+    code, _, err = run_cli(capsys, ["approx", "--n", "20", "--terms", "600"])
+    assert (code, err, calls) == (0, "", [600])
 
 
 def test_approx_at_the_n_ceiling_prints_the_exact_factorial(capsys):

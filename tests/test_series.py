@@ -261,6 +261,13 @@ def test_derivative_drops_order():
         TruncatedSeries.one(0).derivative()
 
 
+def test_derivative_of_order_one_is_its_constant():
+    # the least order that has a derivative: 3 + 7x gives 7, at order 0
+    d = TruncatedSeries([3, 7]).derivative()
+    assert d.order == 0
+    assert d.coeffs == (7,)
+
+
 def test_multiplicative_inverse():
     f = TruncatedSeries([1, 1], order=6)
     assert f.inverse().coeffs == tuple((-1) ** i for i in range(7))
