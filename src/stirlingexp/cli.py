@@ -54,11 +54,11 @@ VERIFY_MAX_K = 110
 # ceiling on comb --max-n, for output size and for the 10 s budget above:
 # the table has about n^2/(2r) counts of up to 2568 digits (1000!), and
 # comb --r 1 --max-n 1000 --format json, stdout to a file and
-# PYTHONUNBUFFERED=1, wrote 442 MB in 3.2 s for partitions and 518 MB in
-# 3.6 s for derangements (medians of five, pinned to one CPU; 3.7 and
-# 4.3 s with one write per count), at a peak RSS of 20.5 and 21.3 MB: the
-# largest row is about 2.6 MB of text.  The counts are Decimals, so the
-# int-to-str digit limit does not apply
+# PYTHONUNBUFFERED=1, wrote 442 MB in 3.5 s for partitions and 518 MB in
+# 3.9 s for derangements (medians of five, pinned to one CPU; 3.6 and
+# 4.2 s the same hour with a line function called per count), at a peak
+# RSS of 20.4 and 21.0 MB: the largest row is about 2.6 MB of text.  The
+# counts are Decimals, so the int-to-str digit limit does not apply
 COMB_MAX_N = 1000
 
 # ceiling on approx --n: the report prints n! as an int, and n! up to
@@ -341,27 +341,29 @@ def _write_comb(handle, r: int, rows, fmt: str, kind: str) -> None:
 
     Head, line, separator and tail reproduce json.dumps(..., indent=2),
     csv.writer and the plain lines of the whole table byte for byte.
-    Each row's text is built whole and written as soon as the row is
-    computed, so neither the table nor its text is ever held whole, and
-    a write-through stream (python -u) makes one system call per row,
-    not one per count.
+    A line is the row's prefix (r, n and the format's text up to k),
+    then k, a fixed middle, the count and a fixed end; the prefix is
+    built once per row, so each count pays one f-string of its own
+    fields.  Each row's text is built whole and written as soon as the
+    row is computed, so neither the table nor its text is ever held
+    whole, and a write-through stream (python -u) makes one system call
+    per row, not one per count.
     """
     head, separator, tail = "", "\n", "\n"
     if fmt == "json":
         head, separator, tail = "[\n", ",\n", "\n]\n"
-        line = lambda n, k, value: (
-            f'  {{\n    "r": {r},\n    "n": {n},\n    "k": {k},\n'
-            f'    "value": "{value!s}"\n  }}'
-        )
+        before_n, before_k = f'  {{\n    "r": {r},\n    "n": ', ',\n    "k": '
+        mid, end = ',\n    "value": "', '"\n  }'
     elif fmt == "csv":
         head = "r,n,k,value\n"
-        line = lambda n, k, value: f"{r},{n},{k},{value!s}"
+        before_n, before_k, mid, end = f"{r},", ",", ",", ""
     else:
-        line = lambda n, k, value: f"{kind} r={r} n={n} k={k}: {value!s}"
+        before_n, before_k, mid, end = f"{kind} r={r} n=", " k=", ": ", ""
     handle.write(head)
     parts = []
     for n, row in enumerate(rows):
-        parts += [line(n, k, value) for k, value in enumerate(row)]
+        prefix = f"{before_n}{n}{before_k}"
+        parts += [f"{prefix}{k}{mid}{value!s}{end}" for k, value in enumerate(row)]
         handle.write(separator.join(parts))
         # an empty first part puts the separator ahead of the next row
         # without a second copy of its text

@@ -10,7 +10,9 @@ so the other two routes can be checked against ground truth.
 The recurrence is one loop, _rows, that yields the triangle row by row:
 row n holds the counts for k = 0..n//r and is built from rows n-1 and
 n-r alone, so only the last r rows are kept.  Its entries have the type
-of the "one" it starts from.
+of the "one" it starts from, and so do its weights, so a row is one
+map over the two rows before it: no count converts an int or runs
+Python bytecode of its own.
 
 comb_table runs it on decimal.Decimal under EXACT, a context in which
 any rounding raises, so every entry is the exact count: the rows are
@@ -34,6 +36,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from itertools import count, islice, permutations, repeat
+from operator import add, mul
 
 from .series import TruncatedSeries
 
@@ -84,7 +87,9 @@ def _rows(
     k ways for partitions, after any of the other n-1 elements for
     cycles.  So row n needs only rows n-1 and n-r, and only the last r
     rows are kept.  Columns past width are cut.  Every entry has the
-    type of one: the counts are one times int weights, and sums of them.
+    type of one, and so has every weight: new_block and n-1 are made
+    once per row, and k is counted up from one by itertools.count.  So
+    the row is built by map, with no per-count conversion or bytecode.
     """
     cycles = kind == "derangement"
     zero = one - one
@@ -96,14 +101,14 @@ def _rows(
             arrangements = math.factorial(r - 1)
         top = n // r if width is None else min(n // r, width)
         new_block = one * (math.comb(n - 1, r - 1) * arrangements)
-        weights = repeat(n - 1) if cycles else count(1)
+        weights = repeat(one * (n - 1)) if cycles else count(one, one)
         # row n-1 lacks column top when top has just grown
         previous = window[-1]
         stay = previous[1 : top + 1] + [zero] * (top + 1 - len(previous))
-        row = [zero] + [
-            new_block * shorter + weight * longer
-            for shorter, longer, weight in zip(window[0], stay, weights)
-        ]
+        row = [zero]
+        row += map(
+            add, map(mul, repeat(new_block), window[0]), map(mul, weights, stay)
+        )
         window.append(row)
         yield row
 

@@ -740,13 +740,9 @@ class _Sha256Text:
         pass
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("kind", ["partition", "derangement"])
-def test_comb_at_the_ceiling_matches_text_from_int_rows(monkeypatch, kind):
-    # r = 1 at the ceiling: about 500k counts, up to 2568 digits (1000!),
-    # still within the int-to-str limit, so int rows can be the reference
-    max_n = cli.COMB_MAX_N
-    argv = ["comb", "--r", "1", "--max-n", str(max_n), "--kind", kind,
+def _assert_comb_csv_is_text_from_int_rows(monkeypatch, r, max_n, kind):
+    """comb's csv output hashes to csv.writer's text of the int rows."""
+    argv = ["comb", "--r", str(r), "--max-n", str(max_n), "--kind", kind,
             "--format", "csv"]
     printed = _Sha256Text()
     monkeypatch.setattr(sys, "stdout", printed)
@@ -754,9 +750,28 @@ def test_comb_at_the_ceiling_matches_text_from_int_rows(monkeypatch, kind):
     expected = _Sha256Text()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(["r", "n", "k", "value"])
-    for n, row in enumerate(islice(combinat._rows(1, kind, one=1), max_n + 1)):
-        writer.writerows((1, n, k, value) for k, value in enumerate(row))
+    for n, row in enumerate(islice(combinat._rows(r, kind, one=1), max_n + 1)):
+        writer.writerows((r, n, k, value) for k, value in enumerate(row))
     assert printed.digest.hexdigest() == expected.digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+def test_comb_at_the_benchmark_size_matches_text_from_int_rows(
+    monkeypatch, kind
+):
+    # the benchmark's table: 42,084 counts per kind, the Decimal rows and
+    # the writer against int rows and csv.writer
+    _assert_comb_csv_is_text_from_int_rows(monkeypatch, 3, 500, kind)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+def test_comb_at_the_ceiling_matches_text_from_int_rows(monkeypatch, kind):
+    # r = 1 at the ceiling: about 500k counts, up to 2568 digits (1000!),
+    # still within the int-to-str limit, so int rows can be the reference
+    _assert_comb_csv_is_text_from_int_rows(
+        monkeypatch, 1, cli.COMB_MAX_N, kind
+    )
 
 
 def test_comb_huge_cycle_length_has_only_empty_rows(capsys):
