@@ -7,6 +7,7 @@ subprocess, because capsys never writes through to a file.
 """
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -970,3 +971,56 @@ def test_full_output_device_is_a_write_failure():
     assert (done.returncode, done.stdout) == (2, "")
     (line,) = done.stderr.splitlines()
     assert line.startswith("error: cannot write the output:")
+
+
+# ---------------------------------------------------------------------------
+# process entry
+
+
+def test_identity_failure_exits_one_through_the_process_entry():
+    # exit 0 and 2 reach the interpreter's exit through run() in the
+    # write-through, closed-pipe and full-device tests; here the child
+    # corrupts a_3 of one route, then runs the module as python -m does
+    code = (
+        "import runpy\n"
+        "from stirlingexp import coefficients\n"
+        "right = coefficients._TABLES['bernoulli']\n"
+        "def wrong(k):\n"
+        "    table = right(k)\n"
+        "    return (*table[:-1], table[-1] + 1)\n"
+        "coefficients._TABLES['bernoulli'] = wrong\n"
+        "runpy.run_module('stirlingexp.cli', run_name='__main__')\n"
+    )
+    done = _python(
+        "-c", code, "coeffs", "--max", "3", capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    flags = [line.rsplit(" ", 1)[1] for line in done.stdout.splitlines()]
+    assert flags == ["[ok]"] * 3 + ["[MISMATCH]"]
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_process_entry_freezes_then_exits_with_the_code_of_main(
+    monkeypatch, code
+):
+    monkeypatch.setattr(cli, "main", lambda: code)
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            cli.run()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert exit_info.value.code == code
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # in process, cyclic garbage must still be collected and finalized:
+    # pytest sees an unclosed file only through its finalizer
+    frozen = gc.get_freeze_count()
+    try:
+        code, out, _ = run_cli(capsys, ["coeffs", "--max", "3"])
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    assert (code, len(out.splitlines())) == (0, 4)

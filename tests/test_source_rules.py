@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import stirlingexp
@@ -223,3 +224,24 @@ def test_benchmark_names_the_package_coefficient_methods():
         and [getattr(t, "id", None) for t in node.targets] == ["COEFF_METHODS"]
     ]
     assert ast.literal_eval(value) == COEFF_METHODS
+
+
+def test_the_installed_command_runs_the_process_entry():
+    # the stirlingexp command and python -m stirlingexp.cli stay one
+    # entry: the console script names the one function that cli's
+    # __main__ block calls.  pyproject.toml is read as text, because
+    # Python 3.10 has no tomllib
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    (target,) = re.findall(
+        r'^stirlingexp = "stirlingexp\.cli:(\w+)"$', text, re.MULTILINE
+    )
+    path = Path(stirlingexp.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (block,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.If)
+        and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{target}()"]
