@@ -9,8 +9,17 @@ numerically at arbitrary precision.
 Each name lives in the submodule that defines it (series, combinat,
 coefficients, identities, asymptotic) and is reached through that
 submodule, as in ``from stirlingexp import coefficients``.  The package
-itself defines only its version, so ``import stirlingexp`` loads no
-submodule, and only asymptotic loads mpmath.
+itself defines only its version and the default and least binary
+precision of the numeric validation, so ``import stirlingexp`` loads no
+submodule.  Only asymptotic loads mpmath, and only on the first call
+that needs it; a call that needs the exact coefficients loads the exact
+layers first (see asymptotic).
 """
 
 __version__ = "0.1.0"
+
+# default and least binary precision of asymptotic's numeric validation;
+# kept here, where every process has them, so that neither the CLI nor
+# asymptotic loads another module to read two ints
+DEFAULT_PRECISION_BITS = 128
+_MIN_PRECISION_BITS = 64

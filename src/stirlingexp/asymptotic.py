@@ -22,23 +22,24 @@ it):
 
 The expansion is divergent for fixed n, so truncation indices are always
 caller-supplied; nothing here auto-selects an order.
+
+Importing the module loads neither mpmath nor the exact layers: each
+function imports what it uses on its first call, so the quadrature
+alone never compiles series, combinat or coefficients.  approx_factorial
+and expansion_vs_quadrature import the exact layers before anything
+loads mpmath: where bytecode is not cached, these modules are compiled
+on import, and compiled after mpmath had loaded they raised the peak RSS
+of a numeric session by 1.0 MB.  The annotations name mpmath's types
+without loading it, since they are never evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
-# ahead of mpmath on purpose: where bytecode is not cached, these
-# modules are compiled on import, and compiled after mpmath has loaded
-# they raised the peak RSS of a numeric session by 1.0 MB
-from .coefficients import coefficient_table
-from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, _lift
-
-import mpmath
-from mpmath import mp
+from . import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS
 
 __all__ = [
     "ApproxReport",
@@ -83,6 +84,8 @@ def _exact_mpf(value: int) -> mpmath.mpf:
     strips them all, and the conversion runs at the mantissa's own
     precision, so nothing is rounded.
     """
+    from mpmath import mp
+
     zeros = (value & -value).bit_length() - 1
     mantissa = value >> zeros
     with mp.workprec(mantissa.bit_length()):
@@ -91,11 +94,17 @@ def _exact_mpf(value: int) -> mpmath.mpf:
 
 def _prefactor(n: int) -> mpmath.mpf:
     """sqrt(2 pi n) e^-n n^n at the caller's working precision."""
+    from mpmath import mp
+
     return mp.sqrt(2 * mp.pi * n) * mp.exp(-n) * mp.mpf(n) ** n
 
 
 def _sum_over_powers(coeffs: list[Fraction], x: int) -> Fraction:
     """sum_k coeffs[k] / x^k, by Horner's rule on integer numerators."""
+    from fractions import Fraction
+
+    from .series import _lift
+
     nums, den = _lift(coeffs)
     total = 0
     for num in nums:
@@ -117,6 +126,8 @@ class ApproxReport(namedtuple("ApproxReport", _APPROX_FIELDS)):
     __slots__ = ()
 
     def _str(self, value: mpmath.mpf) -> str:
+        import mpmath
+
         return mpmath.nstr(value, _decimal_digits(self.precision_bits))
 
     def to_json_dict(self) -> dict:
@@ -145,6 +156,10 @@ def approx_factorial(
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     _require_precision(precision_bits)
+    # the exact layers ahead of mpmath (see the module docstring)
+    from .coefficients import coefficient_table
+    from mpmath import mp
+
     coeffs = coefficient_table("bernoulli", terms)
     tail = _sum_over_powers(coeffs, n)
     exact = math.factorial(n)
@@ -371,6 +386,8 @@ def stirling_ratio_quadrature(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _require_precision(precision_bits)
+    from mpmath import mp
+
     wp = precision_bits + _GUARD_BITS
     with mp.workprec(wp):
         # twice the half range, taken back from u to theta, times pi: a
@@ -411,6 +428,8 @@ def stirling_ratio_exact(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _require_precision(precision_bits)
+    from mpmath import mp
+
     with mp.workprec(precision_bits + _GUARD_BITS):
         value = _prefactor(n) / mp.mpf(_exact_mpf(math.factorial(n)))
         with mp.workprec(precision_bits):
@@ -430,6 +449,11 @@ def expansion_vs_quadrature(
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     _require_precision(precision_bits)
+    # the exact layers ahead of the quadrature's mpmath (see the module
+    # docstring)
+    from .coefficients import coefficient_table
+    from mpmath import mp
+
     ratio = stirling_ratio_quadrature(n, precision_bits)
     coeffs = coefficient_table("bernoulli", terms)
     tail = _sum_over_powers(coeffs, -n)

@@ -27,8 +27,8 @@ from __future__ import annotations
 # cached, these modules are compiled on import, and compiled after the
 # standard-library modules below had loaded they raised the peak RSS of
 # coeffs and verify by 0.15-0.23 MB (0.02-0.09 MB when compiled first)
-from .series import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, format_rational
-from . import coefficients, combinat
+from .series import format_rational
+from . import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, coefficients, combinat
 
 import argparse
 import contextlib
@@ -322,7 +322,10 @@ def _run_approx(args) -> int:
     _check_range(
         option, precision, _MIN_PRECISION_BITS, APPROX_MAX_PRECISION_BITS
     )
-    # the only command that needs mpmath, so the only one that loads it
+    # the only command that needs mpmath, so the only one that imports
+    # asymptotic, whose first call loads it: after the exact layers, which
+    # are loaded already (compiled after mpmath, they raised the peak RSS
+    # of a numeric session by 1.0 MB)
     from . import asymptotic
 
     with _data_out(args.output) as out:

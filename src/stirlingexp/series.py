@@ -26,6 +26,13 @@ common denominator (``_Running``).
 The truncation order is explicit on every series and there is no global
 precision state.  Mixing two series of different orders is treated as a
 programming error and rejected, not silently truncated.
+
+No floating point means no mpmath: the numeric validation, asymptotic,
+imports this layer (through coefficients) on the first call that needs
+exact coefficients, before it loads mpmath, because compiled after
+mpmath had loaded the exact layers raised the peak RSS of a numeric
+session by 1.0 MB.  asymptotic's precision defaults live in the package
+root.
 """
 
 from __future__ import annotations
@@ -43,15 +50,9 @@ __all__ = [
     "as_fraction",
     "format_rational",
     "parse_rational",
-    "DEFAULT_PRECISION_BITS",
 ]
 
 Scalar = int | Fraction
-
-# default and least binary precision of asymptotic's numeric validation;
-# kept here, away from mpmath, so that the CLI can use them without it
-DEFAULT_PRECISION_BITS = 128
-_MIN_PRECISION_BITS = 64
 
 
 def as_fraction(value: Scalar) -> Fraction:

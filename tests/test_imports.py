@@ -1,7 +1,8 @@
 """What each command imports, and where each public name lives.
 
-The package root defines only its version; every public name is reached
-through the one submodule that defines and exports it.
+The package root defines only its version and the precision defaults;
+every public name is reached through the one submodule that defines and
+exports it.
 """
 
 import importlib
@@ -95,18 +96,46 @@ def test_exact_commands_load_identities_only_for_verify(argv, checkers):
     assert loaded & {"stirlingexp.identities", "stirlingexp.asymptotic"} == checkers
 
 
-def test_numeric_layer_loads_no_checker():
-    # asymptotic needs the coefficients, not the identity checks
-    code = (
-        "import sys, stirlingexp.asymptotic\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('stirlingexp.')))\n"
-    )
-    assert set(_fresh(code).split()) == {
-        "stirlingexp.series",
-        "stirlingexp.combinat",
-        "stirlingexp.coefficients",
-        "stirlingexp.asymptotic",
-    }
+EXACT = {"stirlingexp.series", "stirlingexp.combinat", "stirlingexp.coefficients"}
+
+# runs the given statement after importing asymptotic, then prints what
+# got loaded, in sys.modules order: the other package modules and mpmath,
+# fractions and decimal
+NUMERIC_PROBE = """
+import sys
+from stirlingexp import asymptotic
+{}
+watched = ("mpmath", "fractions", "decimal")
+print(*(m for m in sys.modules if m in watched or m.startswith("stirlingexp.")))
+"""
+
+
+def _numeric_loads(statement):
+    """What a fresh interpreter has loaded after statement, in order."""
+    return _fresh(NUMERIC_PROBE.format(statement)).split()
+
+
+def test_numeric_layer_import_loads_nothing_else():
+    # every numeric function imports what it uses on its first call
+    assert _numeric_loads("") == ["stirlingexp.asymptotic"]
+
+
+def test_quadrature_loads_mpmath_but_no_exact_layer():
+    loaded = _numeric_loads("asymptotic.stirling_ratio_quadrature(5)")
+    assert set(loaded) == {"stirlingexp.asymptotic", "mpmath"}
+
+
+@pytest.mark.parametrize(
+    "call", ["approx_factorial(5, 3)", "expansion_vs_quadrature(5, 3)"]
+)
+def test_coefficient_calls_load_the_exact_layers_ahead_of_mpmath(call):
+    # where bytecode is not cached, the exact layers compiled after
+    # mpmath had loaded raised a numeric session's peak RSS by 1.0 MB;
+    # the coefficients need no identity check
+    loaded = _numeric_loads(f"asymptotic.{call}")
+    assert EXACT <= set(loaded)
+    assert "stirlingexp.identities" not in loaded
+    assert all(loaded.index(m) < loaded.index("mpmath") for m in EXACT)
 
 
 def test_approx_loads_mpmath():
@@ -146,12 +175,14 @@ def test_import_binds_only_the_version():
     code = (
         "import stirlingexp\n"
         "print(*sorted(n for n in vars(stirlingexp) if not n.startswith('__')))\n"
+        "print(stirlingexp.__version__)\n"
         "print(hasattr(stirlingexp, 'verify_all'))\n"
         "from stirlingexp import coefficients, asymptotic\n"
         "print(coefficients.verify_all.__module__, asymptotic.__name__)\n"
     )
     assert _fresh(code).splitlines() == [
-        "",
+        "DEFAULT_PRECISION_BITS _MIN_PRECISION_BITS",
+        stirlingexp.__version__,
         "False",
         "stirlingexp.coefficients stirlingexp.asymptotic",
     ]
