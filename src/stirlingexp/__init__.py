@@ -11,9 +11,10 @@ coefficients, identities, asymptotic) and is reached through that
 submodule, as in ``from stirlingexp import coefficients``.  The package
 itself defines only its version and the default and least binary
 precision of the numeric validation, so ``import stirlingexp`` loads no
-submodule.  Only asymptotic loads mpmath, and only on the first call
-that needs it; a call that needs the exact coefficients loads the exact
-layers first (see asymptotic).
+submodule.  mpmath is loaded only by asymptotic's approx_factorial and
+stirling_ratio_exact, on their first call, and approx_factorial loads
+the exact layers first (asymptotic's docstring says why); the
+quadrature settles and rounds in integers.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,10 @@
 """Numeric validation of the expansion at arbitrary binary precision.
 
-Two jobs, both on top of mpmath (the package's only module that imports
-it):
+Two jobs:
 
   * approx_factorial evaluates the truncated expansion against the exact
-    integer n! and reports the relative and scaled error;
+    integer n! and reports the relative and scaled error, in mpmath,
+    which only it and stirling_ratio_exact load;
   * stirling_ratio_quadrature recovers the ratio
     sqrt(2 pi n) e^-n n^n / n!  by numeric integration of its Fourier
     representation over [-pi sqrt(n), pi sqrt(n)].  In u = theta/sqrt(n)
@@ -18,31 +18,38 @@ it):
     node's z is a short sum over a table of them, taken in integers
     once per working precision in a process and kept in fixed point;
     a call raises it to the power n in integers, and compares its
-    passes on their exact integer sums.
+    passes on their exact integer sums.  Its result, and the series sum
+    of expansion_vs_quadrature, are rounded in integers too (pi by
+    Machin's formula, square roots by math.isqrt), and returned as a
+    Dyadic: a Fraction that mpmath reads exactly.
 
 The expansion is divergent for fixed n, so truncation indices are always
 caller-supplied; nothing here auto-selects an order.
 
 Importing the module loads neither mpmath nor the exact layers: each
 function imports what it uses on its first call, so the quadrature
-alone never compiles series, combinat or coefficients.  approx_factorial
-and expansion_vs_quadrature import the exact layers before anything
-loads mpmath: where bytecode is not cached, these modules are compiled
-on import, and compiled after mpmath had loaded they raised the peak RSS
-of a numeric session by 1.0 MB.  The annotations name mpmath's types
-without loading it, since they are never evaluated.
+alone never compiles series, combinat or coefficients, and neither the
+quadrature nor expansion_vs_quadrature loads mpmath.  approx_factorial
+imports the exact layers before it loads mpmath: where bytecode is not
+cached, these modules are compiled on import, and compiled after mpmath
+had loaded they raised the peak RSS of a numeric session by 1.0 MB.
+This is the one statement of that reason; the other places that keep
+the order point here.  The annotations name mpmath's types without
+loading it, since they are never evaluated.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 from functools import lru_cache
 
 from . import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS
 
 __all__ = [
     "ApproxReport",
+    "Dyadic",
     "approx_factorial",
     "stirling_ratio_quadrature",
     "stirling_ratio_exact",
@@ -52,13 +59,14 @@ __all__ = [
 # extra working bits so the final rounding to the requested precision is clean
 _GUARD_BITS = 24
 
-# at 128 bits, in fresh processes on one core of a shared 2-vCPU VM,
-# whose runs spread widely (5 runs each): n = 10^5 settles at 8192
-# panels in 0.11 s, 10^6 at 32768 in 0.26-0.37 s, 4 * 10^6 and
-# 8 * 10^6 at 65536 in 0.53-1.09 s, and 1.6 * 10^7 fails after
-# 0.60-0.88 s; a call evaluates the integrand at most 32769 times, and
-# at the cap the node cache holds 32769 pairs per precision (5.2 MB at
-# 128 bits, 12.9 MB at 1024 bits)
+# at 128 bits, cold, in fresh processes on one core of a shared 2-vCPU
+# VM, whose runs spread widely (5 runs each at 10^5 and 10^6, 3 above):
+# n = 10^5 settles at 8192 panels in 0.11-0.12 s, 10^6 at 32768 in
+# 0.47-0.48 s, 4 * 10^6 and 8 * 10^6 at 65536 in 0.75-0.97 s, and
+# 1.6 * 10^7 fails after 0.57-0.95 s, none of them importing mpmath; a
+# call evaluates the integrand at most 32769 times, and at the cap the
+# node cache holds 32769 pairs per precision (5.2 MB at 128 bits, 12.9
+# MB at 1024 bits)
 _MAX_PANELS = 65536
 
 # full-range panels of the first pass; the count doubles from here
@@ -101,8 +109,6 @@ def _prefactor(n: int) -> mpmath.mpf:
 
 def _sum_over_powers(coeffs: list[Fraction], x: int) -> Fraction:
     """sum_k coeffs[k] / x^k, by Horner's rule on integer numerators."""
-    from fractions import Fraction
-
     from .series import _lift
 
     nums, den = _lift(coeffs)
@@ -345,9 +351,125 @@ def _real_power(z: tuple[int, int], n: int, wp: int) -> int:
     return x
 
 
+class Dyadic(Fraction):
+    """A binary floating-point value, man * 2^exp, held as an exact Fraction.
+
+    The quadrature and the series sum of expansion_vs_quadrature return
+    one.  _mpf_ is the value as mpmath keeps an mpf, (sign, man, exp,
+    bit count of man) with man odd, or all 0 for zero, and man_exp is
+    its (man, exp), the magnitude's, as mpmath's is.  Through _mpf_,
+    mpmath reads the value exactly where it meets an mpf in arithmetic
+    or a comparison; mp.mpf(x) reads it too, but rounds it to the
+    context's precision.  Arithmetic among Fractions gives a plain
+    Fraction.
+    """
+
+    __slots__ = ()
+
+    @property
+    def _mpf_(self) -> tuple[int, int, int, int]:
+        num = self.numerator
+        if not num:
+            return (0, 0, 0, 0)
+        man = abs(num)
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        exp = zeros + 1 - self.denominator.bit_length()
+        return (int(num < 0), man, exp, man.bit_length())
+
+    @property
+    def man_exp(self) -> tuple[int, int]:
+        return self._mpf_[1:3]
+
+
+def _round(num: int, den: int, bits: int) -> Dyadic:
+    """num/den, den > 0, rounded to bits significant bits, half to even.
+
+    The quotient is taken to bits + 2 or bits + 3 bits, and the
+    remainder of that division tells a tie from a value past it; a
+    mantissa rounded up to 2^bits is still exact.  This is the rounding
+    of mpmath's division and of its conversion of an int, at a
+    precision of bits.
+    """
+    if not num:
+        return Dyadic(0)
+    magnitude = abs(num)
+    # 2^(bits+1) < |num/den| 2^-exp < 2^(bits+3)
+    exp = magnitude.bit_length() - den.bit_length() - bits - 2
+    if exp < 0:
+        man, rest = divmod(magnitude << -exp, den)
+    else:
+        man, rest = divmod(magnitude, den << exp)
+    drop = man.bit_length() - bits
+    half = 1 << (drop - 1)
+    low = man & (2 * half - 1)
+    man >>= drop
+    if low > half or low == half and (rest or man & 1):
+        man += 1
+    man, exp = (-man if num < 0 else man), exp + drop
+    return Dyadic(man << exp) if exp >= 0 else Dyadic(man, 1 << -exp)
+
+
+def _mpf_quotient(num: int, den: int, bits: int) -> Dyadic:
+    """num/den as mpmath's mpf(num)/mpf(den) gives it at a precision of
+    bits: num and den each rounded, then their quotient."""
+    quotient = _round(num, 1, bits) / _round(den, 1, bits)
+    return _round(quotient.numerator, quotient.denominator, bits)
+
+
+@lru_cache(maxsize=4)
+def _pi(bits: int) -> int:
+    """pi * 2^bits, rounded down but for a twentieth of a unit.
+
+    Machin's formula, pi = 16 arctan(1/5) - 4 arctan(1/239), in
+    integers: each term of arctan(1/x) = sum_k (-1)^k/((2k+1) x^(2k+1))
+    is floored, and so is the tail left out, each an error of under a
+    unit of the guard bits.  There are about 4 such errors per bit of
+    the result, and 2^guard is over 256 times its bits.
+    """
+    guard = bits.bit_length() + 8
+    one = 1 << (bits + guard)
+
+    def arctan_inverse(x: int) -> int:
+        total, power, divisor, sign = 0, one // x, 1, 1
+        while power:
+            total += sign * (power // divisor)
+            power //= x * x
+            divisor += 2
+            sign = -sign
+        return total
+
+    return (16 * arctan_inverse(5) - 4 * arctan_inverse(239)) >> guard
+
+
+# bits of sqrt(2 pi n) past the working precision with which a settled
+# quadrature is first rounded; each retry doubles the whole precision
+_ROOT_GUARD_BITS = 64
+
+
+def _settled_ratio(
+    n: int, total: int, panels: int, wp: int, bits: int, p: int
+) -> Dyadic:
+    """total sqrt(2 pi n)/(panels 2^wp), rounded once, half to even, to bits.
+
+    sqrt(2 pi n) 2^p lies between r - 1 and r + 2, r the integer square
+    root of 2n _pi(2p), while 2^p > sqrt(n): _pi is off by less than
+    1.05 units, which moves the root by less than half a unit.  The
+    value is rounded at both ends of that range; if they agree, so does
+    every value between, and otherwise p doubles.
+    """
+    while True:
+        root = math.isqrt(2 * n * _pi(2 * p))
+        den = panels << (wp + p)
+        low, high = (_round(total * r, den, bits) for r in (root - 1, root + 2))
+        if low == high:
+            return low
+        p *= 2
+
+
 def stirling_ratio_quadrature(
     n: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> mpmath.mpf:
+) -> Dyadic:
     """The ratio sqrt(2 pi n) e^-n n^n / n! by numeric integration.
 
     The integral over [-pi sqrt(n), pi sqrt(n)] is taken in
@@ -378,44 +500,42 @@ def stirling_ratio_quadrature(
     The test is decided on the exact sums: the result of a pass is
     unit * T/P, with T its sum in units of 2^-wp, so two passes agree
     when |T_L - 2 T_(L-1)| <= limit * P_L, with limit the tolerance
-    divided by unit, rounded down.  Only the settled result is made an
-    mpf.  Failure to settle, or a node value off the unit disc, raises
-    ArithmeticError.  The result is the full-range integral divided by
-    sqrt(2 pi).
+    divided by unit, rounded down.  Only the settled sum is rounded, once,
+    in integers (_settled_ratio).  Failure to settle, or a node value off
+    the unit disc, raises ArithmeticError.  The result is the full-range
+    integral divided by sqrt(2 pi).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     _require_precision(precision_bits)
-    from mpmath import mp
-
     wp = precision_bits + _GUARD_BITS
-    with mp.workprec(wp):
-        # twice the half range, taken back from u to theta, times pi: a
-        # pass of P panels whose sum is T units of 2^-wp gives unit * T/P
-        unit = mp.ldexp(2 * mp.sqrt(n) * mp.pi, -wp)
-        # the tolerance 2^-(precision_bits/2) in units of unit, rounded down
-        limit = int(mp.ldexp(1, -(precision_bits // 2)) / unit)
-        # in units of 2^-wp: the two ends, plus twice every interior node
-        # so far
-        total = 0
-        previous = None
-        # levels 0..level are the nodes of 2^(level+1) full-range panels
-        for level in range(_MAX_PANELS.bit_length() - 1):
-            try:
-                level_sum = sum(_real_power(z, n, wp) for z in _nodes(wp, level))
-            except ArithmeticError as exc:
-                raise ArithmeticError(
-                    f"quadrature node value off the unit disc at n={n}"
-                ) from exc
-            total += 2 * level_sum if level else level_sum
-            panels = 2 ** (level + 1)
-            if panels < _START_PANELS:
-                continue
-            if previous is not None and abs(total - 2 * previous) <= limit * panels:
-                result = unit * mp.mpf(total) / panels / mp.sqrt(2 * mp.pi)
-                with mp.workprec(precision_bits):
-                    return +result
-            previous = total
+    p = wp + _ROOT_GUARD_BITS
+    pi = _pi(2 * p)
+    # twice the half range, taken back from u to theta, times pi: a pass
+    # of P panels whose sum is T units of 2^-wp gives unit * T/P, with
+    # unit = 2 pi sqrt(n) 2^-wp; the tolerance 2^-(precision_bits/2) in
+    # units of unit, rounded down
+    limit = (1 << (wp - precision_bits // 2 + 2 * p)) // math.isqrt(
+        n * pi * pi << 2
+    )
+    # in units of 2^-wp: the two ends, plus twice every interior node so far
+    total = 0
+    previous = None
+    # levels 0..level are the nodes of 2^(level+1) full-range panels
+    for level in range(_MAX_PANELS.bit_length() - 1):
+        try:
+            level_sum = sum(_real_power(z, n, wp) for z in _nodes(wp, level))
+        except ArithmeticError as exc:
+            raise ArithmeticError(
+                f"quadrature node value off the unit disc at n={n}"
+            ) from exc
+        total += 2 * level_sum if level else level_sum
+        panels = 2 ** (level + 1)
+        if panels < _START_PANELS:
+            continue
+        if previous is not None and abs(total - 2 * previous) <= limit * panels:
+            return _settled_ratio(n, total, panels, wp, precision_bits, p)
+        previous = total
     raise ArithmeticError(
         f"quadrature failed to settle within {_MAX_PANELS} panels at n={n}"
     )
@@ -438,26 +558,21 @@ def stirling_ratio_exact(
 
 def expansion_vs_quadrature(
     n: int, terms: int, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple[mpmath.mpf, mpmath.mpf]:
+) -> tuple[Dyadic, Dyadic]:
     """(quadrature ratio, truncated alternating series sum_k (-1)^k a_k/n^k).
 
-    The difference should shrink like 1/n^(terms+1); that scaling is a
-    desk-scale observation, not a bound, so it is asserted only in tests.
+    The series sum is rounded as mpmath's mpf(p)/mpf(q) rounds it
+    (_mpf_quotient).  The difference should shrink like 1/n^(terms+1);
+    that scaling is a desk-scale observation, not a bound, so it is
+    asserted only in tests.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 for the comparison, got {n}")
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     _require_precision(precision_bits)
-    # the exact layers ahead of the quadrature's mpmath (see the module
-    # docstring)
     from .coefficients import coefficient_table
-    from mpmath import mp
 
     ratio = stirling_ratio_quadrature(n, precision_bits)
-    coeffs = coefficient_table("bernoulli", terms)
-    tail = _sum_over_powers(coeffs, -n)
-    with mp.workprec(precision_bits):
-        series_value = mp.mpf(tail.numerator) / mp.mpf(tail.denominator)
-    return ratio, series_value
-
+    tail = _sum_over_powers(coefficient_table("bernoulli", terms), -n)
+    return ratio, _mpf_quotient(tail.numerator, tail.denominator, precision_bits)

@@ -323,9 +323,8 @@ def _run_approx(args) -> int:
         option, precision, _MIN_PRECISION_BITS, APPROX_MAX_PRECISION_BITS
     )
     # the only command that needs mpmath, so the only one that imports
-    # asymptotic, whose first call loads it: after the exact layers, which
-    # are loaded already (compiled after mpmath, they raised the peak RSS
-    # of a numeric session by 1.0 MB)
+    # asymptotic, whose approx_factorial loads it after the exact layers,
+    # which are loaded already (asymptotic's docstring says why)
     from . import asymptotic
 
     with _data_out(args.output) as out:

@@ -29,10 +29,9 @@ programming error and rejected, not silently truncated.
 
 No floating point means no mpmath: the numeric validation, asymptotic,
 imports this layer (through coefficients) on the first call that needs
-exact coefficients, before it loads mpmath, because compiled after
-mpmath had loaded the exact layers raised the peak RSS of a numeric
-session by 1.0 MB.  asymptotic's precision defaults live in the package
-root.
+exact coefficients, and approx_factorial does so before it loads mpmath,
+for the reason that asymptotic's docstring states.  asymptotic's
+precision defaults live in the package root.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 from mpmath import mp
 
 from stirlingexp import asymptotic
@@ -175,6 +176,9 @@ def _record_nodes(monkeypatch) -> list:
         # (limit = 2 * int(...) in stirling_ratio_quadrature) stops
         # there, a pass early, still within two ulps of the exact ratio
         (29, 128, (8, 16, 32, 64, 128, 256)),
+        # the pass of 64 panels meets the tolerance with a fifth to spare,
+        # so one twice too tight goes a pass further
+        (14, 64, (8, 16, 32, 64)),
     ],
 )
 def test_quadrature_panel_sequence_on_the_half_range(
@@ -273,6 +277,143 @@ def test_each_node_is_computed_once_per_precision(monkeypatch):
 def test_quadrature_settles_at_large_n(n):
     quad = stirling_ratio_quadrature(n, 128)
     assert abs(quad - stirling_ratio_exact(n, 128)) <= mpmath.mpf(2) ** -64
+
+
+def _exact(value: int) -> mpmath.mpf:
+    """The int as an mpf, unrounded."""
+    with mp.workprec(max(value.bit_length(), 1)):
+        return mp.mpf(value)
+
+
+def _mpmath_round(num: int, den: int, bits: int) -> mpmath.mpf:
+    """num/den rounded once by mpmath at bits: an exact quotient of exact
+    parts is one correctly rounded division."""
+    a, b = _exact(num), _exact(den)
+    with mp.workprec(bits):
+        return a / b
+
+
+def _assert_rounds_like_mpmath(num, den, bits):
+    value = asymptotic._round(num, den, bits)
+    assert value._mpf_ == _mpmath_round(num, den, bits)._mpf_
+    return value
+
+
+def _dyadic(man, exp):
+    """man * 2^exp as a Dyadic."""
+    if exp >= 0:
+        return asymptotic.Dyadic(man << exp, 1)
+    return asymptotic.Dyadic(man, 1 << -exp)
+
+
+_BITS = st.integers(1, 300)
+_WIDE = st.integers(-(2**2000), 2**2000)
+
+
+@given(_WIDE, st.integers(1, 2**2000), _BITS)
+@example(3, 1, 1)  # a tie at one bit, rounded up to the even 4
+@example(5, 1, 2)  # a tie rounded down to the even 4
+@example(-7, 2, 2)  # a negative tie rounded up in magnitude, to -4
+@example(0, 3, 64)
+def test_integer_rounding_matches_mpmath(num, den, bits):
+    _assert_rounds_like_mpmath(num, den, bits)
+
+
+_TIE = st.integers(1, 200).flatmap(
+    lambda bits: st.tuples(st.just(bits), st.integers(0, 2 ** (bits - 1) - 1))
+)
+
+
+@given(_TIE, st.integers(-300, 300), st.booleans())
+def test_ties_round_half_to_even(tie, shift, negative):
+    # bits + 1 significant bits, the last of them 1: exactly halfway
+    # between the two neighbours at bits
+    bits, middle = tie
+    man = (1 << bits) | (middle << 1) | 1
+    halfway = _dyadic(-man if negative else man, shift)
+    value = _assert_rounds_like_mpmath(*halfway.as_integer_ratio(), bits)
+    # the tie goes to the neighbour whose mantissa is even
+    even = (man >> 1) + (man >> 1 & 1)
+    assert abs(value) == even * Fraction(2) ** (shift + 1)
+
+
+@given(st.integers(1, 200), st.integers(1, 100), st.integers(-300, 300))
+def test_all_ones_mantissa_carries_into_the_next_binade(bits, extra, shift):
+    # 2^(bits+extra) - 1 rounds up to 2^(bits+extra), a mantissa of 1
+    ones = _dyadic((1 << (bits + extra)) - 1, shift)
+    value = _assert_rounds_like_mpmath(*ones.as_integer_ratio(), bits)
+    assert value == Fraction(2) ** (bits + extra + shift)
+    assert value.man_exp == (1, bits + extra + shift)
+
+
+@given(st.integers(1, 2**200), st.integers(-500, 500), _BITS)
+def test_exact_values_are_kept(man, exp, bits):
+    man |= 1
+    exact = _dyadic(man, exp)
+    value = asymptotic._round(*exact.as_integer_ratio(), max(bits, man.bit_length()))
+    assert value == exact
+    assert value.man_exp == (man, exp)
+
+
+@given(st.integers(2**5000, 2**20000), st.integers(1, 2**40), st.integers(1, 64))
+def test_numerators_far_wider_than_the_precision(num, den, bits):
+    _assert_rounds_like_mpmath(num, den, bits)
+
+
+@given(_WIDE, _WIDE.filter(bool), _BITS)
+@example(2**300 - 1, 2**200 + 1, 64)
+def test_rounded_quotient_is_mpmaths_chain(num, den, bits):
+    # mp.mpf(num) and mp.mpf(den) each round at the context precision,
+    # and so does their quotient
+    with mp.workprec(bits):
+        expected = mp.mpf(num) / mp.mpf(den)
+    assert asymptotic._mpf_quotient(num, den, bits)._mpf_ == expected._mpf_
+
+
+@given(st.integers(-(2**300), 2**300), st.integers(-400, 400))
+@example(0, 0)
+@example(0, 17)
+@example(-12, 3)
+def test_dyadic_is_in_mpmaths_normal_form(man, exp):
+    value = _dyadic(man, exp)
+    with mp.workprec(max(man.bit_length(), 1)):
+        expected = mp.mpf(man) * mp.mpf(2) ** exp
+    assert value._mpf_ == expected._mpf_
+    assert value.man_exp == expected.man_exp
+    # mpmath reads the value exactly, in arithmetic and in comparisons,
+    # at any context precision
+    with mp.workprec(8):
+        assert value == expected and expected == value
+        assert not value < expected and not value > expected
+        assert (value - expected) == 0 == (expected - value)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 176, 353, 1000, 4096])
+def test_machin_pi_is_rounded_down_within_a_twentieth(bits):
+    with mp.workprec(bits + 64):
+        error = asymptotic._pi(bits) - mp.ldexp(mp.pi, bits)
+    twentieth = mpmath.mpf(1) / 20
+    assert -1 - twentieth < error < twentieth
+
+
+def test_settled_ratio_widens_until_it_rounds_once(monkeypatch):
+    # at 4 bits of sqrt(2 pi n) the two ends of its range round apart,
+    # so the precision doubles until they agree; the value is then the
+    # one correctly rounded
+    sizes, original = [], asymptotic._pi
+
+    def recording(bits):
+        sizes.append(bits)
+        return original(bits)
+
+    monkeypatch.setattr(asymptotic, "_pi", recording)
+    n, total, panels, wp, bits = 7, 3 * 2**93 + 12345, 64, 88, 64
+    value = asymptotic._settled_ratio(n, total, panels, wp, bits, 4)
+    with mp.workprec(bits + 300):
+        exact = mp.mpf(total) * mp.sqrt(2 * mp.pi * n) / panels / mp.mpf(2) ** wp
+    with mp.workprec(bits):
+        assert value._mpf_ == (+exact)._mpf_
+    assert sizes[:3] == [8, 16, 32] and len(sizes) > 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 5000])
@@ -388,8 +529,9 @@ def test_expansion_vs_quadrature_improves_with_terms():
 def test_expansion_vs_quadrature_two_point_scaling():
     qa, sa = expansion_vs_quadrature(10, 3)
     qb, sb = expansion_vs_quadrature(20, 3)
+    # both results are exact Fractions, so their differences are too
     ratio = abs(qb - sb) / abs(qa - sa)
-    assert mpmath.mpf(1) / 16 / 1.5 <= ratio <= mpmath.mpf(1) / 16 * 1.5
+    assert Fraction(1, 16) / Fraction(3, 2) <= ratio <= Fraction(1, 16) * Fraction(3, 2)
 
 
 def test_reciprocal_consistency_report():

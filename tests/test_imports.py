@@ -116,22 +116,32 @@ def _numeric_loads(statement):
 
 
 def test_numeric_layer_import_loads_nothing_else():
-    # every numeric function imports what it uses on its first call
-    assert _numeric_loads("") == ["stirlingexp.asymptotic"]
+    # every numeric function imports what it uses on its first call; the
+    # module itself needs only fractions (and the decimal it imports), the
+    # base of the Dyadic values that the quadrature returns
+    loaded = _numeric_loads("")
+    assert set(loaded) == {"stirlingexp.asymptotic", "fractions", "decimal"}
 
 
-def test_quadrature_loads_mpmath_but_no_exact_layer():
+def test_quadrature_loads_no_mpmath_and_no_exact_layer():
+    # it settles and rounds in integers
     loaded = _numeric_loads("asymptotic.stirling_ratio_quadrature(5)")
-    assert set(loaded) == {"stirlingexp.asymptotic", "mpmath"}
+    assert set(loaded) == {"stirlingexp.asymptotic", "fractions", "decimal"}
 
 
-@pytest.mark.parametrize(
-    "call", ["approx_factorial(5, 3)", "expansion_vs_quadrature(5, 3)"]
-)
+def test_series_vs_quadrature_loads_the_exact_layers_but_no_mpmath():
+    # the coefficients need no identity check, and the series sum is
+    # rounded in integers like the quadrature
+    loaded = _numeric_loads("asymptotic.expansion_vs_quadrature(5, 3)")
+    assert EXACT <= set(loaded)
+    assert "stirlingexp.identities" not in loaded
+    assert "mpmath" not in loaded
+
+
+@pytest.mark.parametrize("call", ["approx_factorial(5, 3)"])
 def test_coefficient_calls_load_the_exact_layers_ahead_of_mpmath(call):
-    # where bytecode is not cached, the exact layers compiled after
-    # mpmath had loaded raised a numeric session's peak RSS by 1.0 MB;
-    # the coefficients need no identity check
+    # the order and its reason are stated in asymptotic's docstring; the
+    # coefficients need no identity check
     loaded = _numeric_loads(f"asymptotic.{call}")
     assert EXACT <= set(loaded)
     assert "stirlingexp.identities" not in loaded
