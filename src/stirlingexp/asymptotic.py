@@ -6,22 +6,12 @@ Two jobs:
     integer n! and reports the relative and scaled error, in mpmath,
     which only it and stirling_ratio_exact load;
   * stirling_ratio_quadrature recovers the ratio
-    sqrt(2 pi n) e^-n n^n / n!  by numeric integration of its Fourier
-    representation over [-pi sqrt(n), pi sqrt(n)].  In u = theta/sqrt(n)
-    the integrand is entire and 2 pi-periodic, so the trapezoidal rule
-    converges geometrically (Trefethen & Weideman, SIAM Review 56(3),
-    2014); with N panels its relative error is exactly
-    sum_{m = n mod N, m != n} n^(m-n) n!/m!.  The integrand is even, so
-    only the half range is evaluated, with half the panels, and the
-    result doubled.  It is Re(z(u)^n) with z(u) = exp(e^(iu) - 1 - iu),
-    which does not depend on n.  The nodes are roots of unity, so each
-    node's z is a short sum over a table of them, taken in integers
-    once per working precision in a process and kept in fixed point;
-    a call raises it to the power n in integers, and compares its
-    passes on their exact integer sums.  Its result, and the series sum
-    of expansion_vs_quadrature, are rounded in integers too (pi by
-    Machin's formula, square roots by math.isqrt), and returned as a
-    Dyadic: a Fraction that mpmath reads exactly.
+    sqrt(2 pi n) e^-n n^n / n!  by the trapezoidal rule on its Fourier
+    representation, in integers (its docstring gives the method), and
+    expansion_vs_quadrature sets the truncated series beside it.  Each
+    of their results is rounded once, by _round (the ratio through
+    _settled_ratio), and returned as a Dyadic: a Fraction that mpmath
+    reads exactly.
 
 The expansion is divergent for fixed n, so truncation indices are always
 caller-supplied; nothing here auto-selects an order.
@@ -66,38 +56,19 @@ _GUARD_BITS = 24
 # 1.6 * 10^7 fails after 0.57-0.95 s, none of them importing mpmath; a
 # call evaluates the integrand at most 32769 times, and at the cap the
 # node cache holds 32769 pairs per precision (5.2 MB at 128 bits, 12.9
-# MB at 1024 bits)
+# MB at 1024 bits), and a call peaks at 9.3 MB (128 bits) and 24.8 MB
+# (1024 bits) of tracemalloc while the last level's table of cosines is
+# held as well
 _MAX_PANELS = 65536
 
 # full-range panels of the first pass; the count doubles from here
 _START_PANELS = 8
 
 
-def _decimal_digits(precision_bits: int) -> int:
-    return max(1, int(precision_bits * math.log10(2)))
-
-
 def _require_precision(precision_bits: int) -> None:
     floor = _MIN_PRECISION_BITS
     if precision_bits < floor:
         raise ValueError(f"precision_bits must be >= {floor}, got {precision_bits}")
-
-
-def _exact_mpf(value: int) -> mpmath.mpf:
-    """The positive integer value as an mpf, exactly, in linear time.
-
-    mp.mpf(value) strips the integer's trailing zero bits 8 at a time in
-    mpmath's pure-Python backend, shifting the whole integer each time,
-    which is quadratic in its length (0.9 s for 100000!).  One shift
-    strips them all, and the conversion runs at the mantissa's own
-    precision, so nothing is rounded.
-    """
-    from mpmath import mp
-
-    zeros = (value & -value).bit_length() - 1
-    mantissa = value >> zeros
-    with mp.workprec(mantissa.bit_length()):
-        return mp.mpf((mantissa, zeros))
 
 
 def _prefactor(n: int) -> mpmath.mpf:
@@ -134,7 +105,8 @@ class ApproxReport(namedtuple("ApproxReport", _APPROX_FIELDS)):
     def _str(self, value: mpmath.mpf) -> str:
         import mpmath
 
-        return mpmath.nstr(value, _decimal_digits(self.precision_bits))
+        digits = max(1, int(self.precision_bits * math.log10(2)))
+        return mpmath.nstr(value, digits)
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,10 +141,9 @@ def approx_factorial(
     coeffs = coefficient_table("bernoulli", terms)
     tail = _sum_over_powers(coeffs, n)
     exact = math.factorial(n)
-    exact_mpf = _exact_mpf(exact)
     with mp.workprec(precision_bits + _GUARD_BITS):
         approx = _prefactor(n) * mp.mpf(tail.numerator) / mp.mpf(tail.denominator)
-        rel_error = abs(approx - exact_mpf) / mp.mpf(exact_mpf)
+        rel_error = abs(approx - Dyadic(exact)) / mp.mpf(Dyadic(exact))
         scaled_error = rel_error * mp.mpf(n) ** (terms + 1)
     with mp.workprec(precision_bits):
         return ApproxReport(
@@ -310,10 +281,8 @@ def _nodes(wp: int, level: int) -> tuple[tuple[int, int], ...]:
     The nodes depend on neither n nor the pass, so a process computes
     each once per precision and keeps the last _NODE_LEVELS_KEPT levels
     it used: at the _MAX_PANELS cap one precision holds 32769 pairs,
-    5.2 MB at wp = 152 (128 bits) and 12.9 MB at wp = 1048 (1024 bits),
-    and the cache at most twice that.  While the last level is built,
-    its table of 65536 cosines is held as well: a call at the cap peaks
-    at 9.3 MB (128 bits) and 24.8 MB (1024 bits) of tracemalloc.
+    and the cache at most twice that (the comment on _MAX_PANELS gives
+    their size, and a call's peak).
     """
     p = _kernel_bits(wp)
     cosines = _root_cosines(max(level, 1), p)
@@ -354,14 +323,19 @@ def _real_power(z: tuple[int, int], n: int, wp: int) -> int:
 class Dyadic(Fraction):
     """A binary floating-point value, man * 2^exp, held as an exact Fraction.
 
-    The quadrature and the series sum of expansion_vs_quadrature return
-    one.  _mpf_ is the value as mpmath keeps an mpf, (sign, man, exp,
-    bit count of man) with man odd, or all 0 for zero, and man_exp is
-    its (man, exp), the magnitude's, as mpmath's is.  Through _mpf_,
-    mpmath reads the value exactly where it meets an mpf in arithmetic
-    or a comparison; mp.mpf(x) reads it too, but rounds it to the
-    context's precision.  Arithmetic among Fractions gives a plain
-    Fraction.
+    The quadrature and expansion_vs_quadrature return their values, each
+    rounded once by _round, as one; approx_factorial and
+    stirling_ratio_exact hand mpmath the integer n! as one.  _mpf_ is
+    the value as mpmath keeps an mpf, (sign, man, exp, bit count of man)
+    with man odd, or all 0 for zero, and man_exp is its (man, exp), the
+    magnitude's, as mpmath's is.  Through _mpf_, mpmath reads the value
+    exactly where it meets an mpf in arithmetic or a comparison;
+    mp.mpf(x) reads it too, but rounds it to the context's precision.
+    _mpf_ strips the trailing zero bits in one shift, in time linear in
+    the value's length; mp.mpf of an int strips them 8 at a time in
+    mpmath's pure-Python backend, shifting the whole int each time,
+    which is quadratic (0.9 s for 100000!).  Arithmetic among Fractions
+    gives a plain Fraction.
     """
 
     __slots__ = ()
@@ -388,8 +362,9 @@ def _round(num: int, den: int, bits: int) -> Dyadic:
     The quotient is taken to bits + 2 or bits + 3 bits, and the
     remainder of that division tells a tie from a value past it; a
     mantissa rounded up to 2^bits is still exact.  This is the rounding
-    of mpmath's division and of its conversion of an int, at a
-    precision of bits.
+    of mpmath's division of exact values, and of its conversion of an
+    int, at a precision of bits; it is the one place in the module where
+    a rational becomes a binary value.
     """
     if not num:
         return Dyadic(0)
@@ -408,13 +383,6 @@ def _round(num: int, den: int, bits: int) -> Dyadic:
         man += 1
     man, exp = (-man if num < 0 else man), exp + drop
     return Dyadic(man << exp) if exp >= 0 else Dyadic(man, 1 << -exp)
-
-
-def _mpf_quotient(num: int, den: int, bits: int) -> Dyadic:
-    """num/den as mpmath's mpf(num)/mpf(den) gives it at a precision of
-    bits: num and den each rounded, then their quotient."""
-    quotient = _round(num, 1, bits) / _round(den, 1, bits)
-    return _round(quotient.numerator, quotient.denominator, bits)
 
 
 @lru_cache(maxsize=4)
@@ -551,7 +519,7 @@ def stirling_ratio_exact(
     from mpmath import mp
 
     with mp.workprec(precision_bits + _GUARD_BITS):
-        value = _prefactor(n) / mp.mpf(_exact_mpf(math.factorial(n)))
+        value = _prefactor(n) / mp.mpf(Dyadic(math.factorial(n)))
         with mp.workprec(precision_bits):
             return +value
 
@@ -561,10 +529,10 @@ def expansion_vs_quadrature(
 ) -> tuple[Dyadic, Dyadic]:
     """(quadrature ratio, truncated alternating series sum_k (-1)^k a_k/n^k).
 
-    The series sum is rounded as mpmath's mpf(p)/mpf(q) rounds it
-    (_mpf_quotient).  The difference should shrink like 1/n^(terms+1);
-    that scaling is a desk-scale observation, not a bound, so it is
-    asserted only in tests.
+    The series sum is summed exactly and rounded once, half to even, to
+    precision_bits (_round), as the ratio is.  The difference should
+    shrink like 1/n^(terms+1); that scaling is a desk-scale observation,
+    not a bound, so it is asserted only in tests.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 for the comparison, got {n}")
@@ -575,4 +543,4 @@ def expansion_vs_quadrature(
 
     ratio = stirling_ratio_quadrature(n, precision_bits)
     tail = _sum_over_powers(coefficient_table("bernoulli", terms), -n)
-    return ratio, _mpf_quotient(tail.numerator, tail.denominator, precision_bits)
+    return ratio, _round(tail.numerator, tail.denominator, precision_bits)

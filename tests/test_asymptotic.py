@@ -18,7 +18,7 @@ from stirlingexp.asymptotic import (
     stirling_ratio_exact,
     stirling_ratio_quadrature,
 )
-from stirlingexp.coefficients import CrossCheck, verify_all
+from stirlingexp.coefficients import CrossCheck, coefficient_table, verify_all
 from stirlingexp.identities import (
     IdentityReport,
     reciprocal_consistency,
@@ -360,16 +360,6 @@ def test_numerators_far_wider_than_the_precision(num, den, bits):
     _assert_rounds_like_mpmath(num, den, bits)
 
 
-@given(_WIDE, _WIDE.filter(bool), _BITS)
-@example(2**300 - 1, 2**200 + 1, 64)
-def test_rounded_quotient_is_mpmaths_chain(num, den, bits):
-    # mp.mpf(num) and mp.mpf(den) each round at the context precision,
-    # and so does their quotient
-    with mp.workprec(bits):
-        expected = mp.mpf(num) / mp.mpf(den)
-    assert asymptotic._mpf_quotient(num, den, bits)._mpf_ == expected._mpf_
-
-
 @given(st.integers(-(2**300), 2**300), st.integers(-400, 400))
 @example(0, 0)
 @example(0, 17)
@@ -418,13 +408,16 @@ def test_settled_ratio_widens_until_it_rounds_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 5000])
 def test_exact_mpf_matches_the_direct_conversion(n):
+    # n! as a Dyadic, the way approx_factorial and stirling_ratio_exact
+    # hand it to mpmath: read exactly at its own length, rounded as the
+    # int is at a shorter precision
     factorial = math.factorial(n)
-    value = asymptotic._exact_mpf(factorial)
+    value = asymptotic.Dyadic(factorial)
     with mp.workprec(factorial.bit_length()):
-        assert value.man_exp == mp.mpf(factorial).man_exp
+        assert mp.mpf(value).man_exp == mp.mpf(factorial).man_exp
+        assert int(mp.mpf(value)) == factorial
     with mp.workprec(128):
         assert mp.mpf(value).man_exp == mp.mpf(factorial).man_exp
-    assert int(value) == factorial
 
 
 def test_exact_ratio_at_large_n_takes_well_under_a_second():
@@ -534,6 +527,25 @@ def test_expansion_vs_quadrature_two_point_scaling():
     assert Fraction(1, 16) / Fraction(3, 2) <= ratio <= Fraction(1, 16) * Fraction(3, 2)
 
 
+# the examples are two of the sums that rounding the numerator and the
+# denominator apart took to the farther neighbour
+@given(st.integers(2, 60), st.integers(0, 40), st.sampled_from([64, 97, 128, 256]))
+@example(10, 32, 128)
+@example(4, 32, 64)
+def test_series_sum_is_rounded_once_to_nearest(n, terms, bits):
+    # the exact alternating sum, rounded by mpmath's from_rational to
+    # nearest, half to even
+    _, series = expansion_vs_quadrature(n, terms, bits)
+    exact = sum(
+        Fraction((-1) ** k) * a / Fraction(n) ** k
+        for k, a in enumerate(coefficient_table("bernoulli", terms))
+    )
+    rounded = mpmath.libmp.from_rational(
+        exact.numerator, exact.denominator, bits, "n"
+    )
+    assert series._mpf_ == rounded
+
+
 def test_reciprocal_consistency_report():
     [report] = reciprocal_consistency(20)
     assert report.ok
@@ -563,7 +575,11 @@ def test_rejected_inputs():
     with pytest.raises(ValueError):
         stirling_ratio_quadrature(0)
     with pytest.raises(ValueError):
+        stirling_ratio_exact(0)
+    with pytest.raises(ValueError):
         expansion_vs_quadrature(1, 2)
+    with pytest.raises(ValueError):
+        expansion_vs_quadrature(5, -1)
 
 
 @pytest.mark.parametrize(

@@ -387,6 +387,18 @@ def test_verify_rejects_csv_format(capsys):
     assert "invalid choice: 'csv'" in captured.err
 
 
+def test_verify_below_its_floor_is_usage_error(capsys, monkeypatch):
+    # the identity checks start at index 3: rejected before any work
+    def no_work(*args):
+        raise AssertionError("work started below the floor")
+
+    monkeypatch.setattr(coefficients, "verify_all", no_work)
+    monkeypatch.setattr(identities, "run_all", no_work)
+    assert run_cli(capsys, ["verify", "--max", "2"]) == (
+        2, "", "error: --max must be >= 3\n"
+    )
+
+
 def _corrupt_entry(name, key, index, check, size):
     # entry index of one table off by one, through the name the check
     # reads: identities.coefficient_table(method, K) or

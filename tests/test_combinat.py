@@ -122,6 +122,8 @@ def test_enumeration_cap_enforced():
 def test_bad_kind_rejected():
     with pytest.raises(ValueError):
         enumerate_oracle(3, 4, 1, "cycles")
+    with pytest.raises(ValueError, match="^kind must be one of"):
+        comb_table(3, 5, "bogus")
 
 
 def test_bad_arguments_rejected():

@@ -64,6 +64,22 @@ def test_order_mismatch_is_rejected_not_truncated():
         a.compose(b)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TruncatedSeries([1], order=-1), "order must be >= 0, got -1"),
+        (lambda: TruncatedSeries.x(0), "the series x needs order >= 1"),
+        (lambda: TruncatedSeries.monomial(1, 4, 3), "power 4 outside [0, 3]"),
+        (lambda: exp_kernel(-1), "order must be >= 0, got -1"),
+    ],
+    ids=["negative-order", "x-at-order-0", "monomial-past-order", "exp-kernel"],
+)
+def test_a_series_outside_its_order_is_rejected(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
 def test_getitem_bounds():
     f = TruncatedSeries([1, 2, 3])
     assert f[2] == 3

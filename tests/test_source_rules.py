@@ -82,6 +82,42 @@ def test_restricted_modules_are_imported_only_where_allowed():
     assert importers == RESTRICTED_IMPORTS
 
 
+# the functions of asymptotic that import mpmath: the approximation of
+# n! and the closed-form ratio it is checked against.  The quadrature
+# and the series sum compute and round in integers, so no code they run
+# may pick mpmath up again, on any path, run or not
+MPMATH_IMPORTERS = {
+    "_prefactor",
+    "ApproxReport._str",
+    "approx_factorial",
+    "stirling_ratio_exact",
+}
+
+
+def test_only_the_approximation_of_n_factorial_imports_mpmath():
+    path = Path(stirlingexp.__file__).parent / "asymptotic.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # each top-level statement, and each statement of a class body, by
+    # its qualified name; a module-level import has none
+    scopes = [
+        (f"{node.name}.{getattr(member, 'name', '')}", member)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+    ] + [
+        (getattr(node, "name", "<module>"), node)
+        for node in tree.body
+        if not isinstance(node, ast.ClassDef)
+    ]
+    importers = {
+        name
+        for name, scope in scopes
+        for node in ast.walk(scope)
+        if any(m.split(".")[0] == "mpmath" for m in _imported_modules(node))
+    }
+    assert importers == MPMATH_IMPORTERS
+
+
 def _is_fraction_call(node):
     return (
         isinstance(node, ast.Call)
