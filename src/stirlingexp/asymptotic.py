@@ -46,7 +46,10 @@ __all__ = [
     "expansion_vs_quadrature",
 ]
 
-# extra working bits so the final rounding to the requested precision is clean
+# the guard of every stage over the one before it: the working precision
+# (the quadrature's wp, or mpmath's) over the requested bits, and the
+# node kernel's fixed point and the first sqrt(2 pi n) of _settled_ratio
+# over wp
 _GUARD_BITS = 24
 
 # at 128 bits, cold, in fresh processes on one core of a shared 2-vCPU
@@ -162,16 +165,6 @@ def approx_factorial(
 _HALVINGS = 8
 
 
-# fractional bits the node kernel carries beyond the working precision,
-# besides one per squaring
-_KERNEL_GUARD_BITS = 10
-
-
-def _kernel_bits(wp: int) -> int:
-    """The fractional bits p of the node kernel at working precision wp."""
-    return wp + _KERNEL_GUARD_BITS + _HALVINGS
-
-
 def _root_cosines(level: int, p: int) -> list[int]:
     """cos(2 pi k/N) * 2^p for k < N = 2^(level+1), N >= 4, in integers.
 
@@ -232,14 +225,14 @@ def _z_at(
     the N-th roots at index km mod N, so each part of the sum is a
     Horner scheme whose every step adds a table entry to the running sum
     divided by the small integer m 2^_HALVINGS: no multiplication, and
-    a cost per term linear in the precision.  |v| <= 1, and each
-    squaring at most doubles its error, which the one guard bit per
-    squaring absorbs; the other _KERNEL_GUARD_BITS absorb the table's
-    errors and the floors of the sum.  Each part of the result is
-    within two units of 2^-wp of z (about one unit at most, measured at
-    levels 0-9 and 64-1024 bits).
+    a cost per term linear in the precision.  The kernel works with
+    p = wp + _GUARD_BITS fractional bits.  |v| <= 1, and each squaring
+    at most doubles its error, which costs _HALVINGS of the guard bits;
+    the rest absorb the table's errors and the floors of the sum.  Each
+    part of the result is within two units of 2^-wp of z (about one
+    unit at most, measured at levels 0-9 and 64-1024 bits).
     """
-    p = _kernel_bits(wp)
+    p = wp + _GUARD_BITS
     mask, quarter = len(cosines) - 1, len(cosines) // 4
     k &= mask
     re = im = 0
@@ -258,12 +251,7 @@ def _z_at(
     return (x * c + y * s) >> shift, (y * c - x * s) >> shift
 
 
-# levels of _nodes kept in a process: the 16 levels that reach the
-# _MAX_PANELS cap, at two precisions
-_NODE_LEVELS_KEPT = 32
-
-
-@lru_cache(maxsize=_NODE_LEVELS_KEPT)
+@lru_cache(maxsize=2 * (_MAX_PANELS.bit_length() - 1))
 def _nodes(wp: int, level: int) -> tuple[tuple[int, int], ...]:
     """z at the half-range nodes that doubling level ``level`` adds.
 
@@ -276,12 +264,13 @@ def _nodes(wp: int, level: int) -> tuple[tuple[int, int], ...]:
     level and dropped with it.  |z(u)| = e^(cos u - 1) <= 1, so a value
     off the unit disc by more than two units raises ArithmeticError.
     The nodes depend on neither n nor the pass, so a process computes
-    each once per precision and keeps the last _NODE_LEVELS_KEPT levels
-    it used: at the _MAX_PANELS cap one precision holds 32769 pairs,
-    and the cache at most twice that (the comment on _MAX_PANELS gives
-    their size, and a call's peak).
+    each once per precision and keeps the last levels it used: the
+    levels that reach the _MAX_PANELS cap, at two precisions.  At the
+    cap one precision holds 32769 pairs, and the cache at most twice
+    that (the comment on _MAX_PANELS gives their size, and a call's
+    peak).
     """
-    p = _kernel_bits(wp)
+    p = wp + _GUARD_BITS
     cosines = _root_cosines(max(level, 1), p)
     terms, damping = _series(p)
     # at level 0 the table is of the 4th roots, so u = 0 and pi are 0 and 2
@@ -407,11 +396,6 @@ def _pi(bits: int) -> int:
     return (16 * arctan_inverse(5) - 4 * arctan_inverse(239)) >> guard
 
 
-# bits of sqrt(2 pi n) past the working precision with which a settled
-# quadrature is first rounded; each retry doubles the whole precision
-_ROOT_GUARD_BITS = 64
-
-
 def _settled_ratio(
     n: int, total: int, panels: int, wp: int, bits: int, p: int
 ) -> Dyadic:
@@ -421,7 +405,8 @@ def _settled_ratio(
     root of 2n _pi(2p), while 2^p > sqrt(n): _pi is off by less than
     1.05 units, which moves the root by less than half a unit.  The
     value is rounded at both ends of that range; if they agree, so does
-    every value between, and otherwise p doubles.
+    every value between, and otherwise p doubles.  So the result is
+    rounded correctly from any p, and p sets only how often it retries.
     """
     while True:
         root = math.isqrt(2 * n * _pi(2 * p))
@@ -476,7 +461,7 @@ def stirling_ratio_quadrature(
         raise ValueError(f"n must be >= 1, got {n}")
     _require_precision(precision_bits)
     wp = precision_bits + _GUARD_BITS
-    p = wp + _ROOT_GUARD_BITS
+    p = wp + _GUARD_BITS
     pi = _pi(2 * p)
     # twice the half range, taken back from u to theta, times pi: a pass
     # of P panels whose sum is T units of 2^-wp gives unit * T/P, with

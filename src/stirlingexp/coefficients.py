@@ -280,7 +280,6 @@ def verify_all(
     This is the one agreement rule: index k is a mismatch unless every
     method gives the same a_k, so at least one method is needed.
     """
-    _require_index(index_max)
     if not methods:
         raise ValueError("a cross-check needs at least one method")
     tables = tuple((m, coefficient_table(m, index_max)) for m in methods)

@@ -238,9 +238,6 @@ class TruncatedSeries:
             return self._coeffs == other._coeffs
         return NotImplemented
 
-    # equality raises on order mismatch, so hashing would be unsound
-    __hash__ = None
-
     # ------------------------------------------------------------------
     # calculus and composition
 
@@ -415,10 +412,8 @@ def exp_kernel(order: int) -> TruncatedSeries:
     1 + x/3 + x^2/12 + x^3/60 + ...  Its constant term is 1, which makes
     it a valid base for power_rational.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     return TruncatedSeries(
-        [Fraction(2, math.factorial(j + 2)) for j in range(order + 1)]
+        [Fraction(2, math.factorial(j + 2)) for j in range(order + 1)], order=order
     )
 
 
@@ -428,8 +423,6 @@ def log_kernel(order: int) -> TruncatedSeries:
     Ordinary coefficients 2*(-1)^j/(j+2) for j >= 0, so the series starts
     1 - 2x/3 + x^2/2 - 2x^3/5 + ...
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
     return TruncatedSeries(
-        [Fraction(2 * (-1) ** j, j + 2) for j in range(order + 1)]
+        [Fraction(2 * (-1) ** j, j + 2) for j in range(order + 1)], order=order
     )

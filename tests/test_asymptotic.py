@@ -54,7 +54,7 @@ def _kernel(level):
     """z at index k of the node kernel's table of the 2^(level+1)-th
     roots of unity (at least the 4th), at working precision _WP, and the
     table's size."""
-    p = asymptotic._kernel_bits(_WP)
+    p = _WP + asymptotic._GUARD_BITS
     cosines = asymptotic._root_cosines(max(level, 1), p)
     terms, damping = asymptotic._series(p)
 
@@ -638,6 +638,8 @@ def test_rejected_inputs():
         stirling_ratio_quadrature(0)
     with pytest.raises(ValueError):
         stirling_ratio_exact(0)
+    with pytest.raises(ValueError, match="precision_bits must be >= 64, got 63"):
+        stirling_ratio_exact(5, 63)
     with pytest.raises(ValueError):
         expansion_vs_quadrature(1, 2)
     with pytest.raises(ValueError, match="terms must be >= 0"):

@@ -203,7 +203,7 @@ def test_expansion_coefficients_helper():
     widest = expansion_coefficients(30)
     for index_max in range(31):
         assert expansion_coefficients(index_max) == widest[: index_max + 1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coefficient index must be >= 0, got -1"):
         expansion_coefficients(-1)
 
 
@@ -241,6 +241,11 @@ def test_cross_check_needs_a_method():
     # with no table, "every method gives the same a_k" holds nowhere
     with pytest.raises(ValueError, match="at least one method"):
         verify_all(3, [])
+    # the method list is checked first, the index by coefficient_table
+    with pytest.raises(ValueError, match="at least one method"):
+        verify_all(-1, [])
+    with pytest.raises(ValueError, match="coefficient index must be >= 0, got -1"):
+        verify_all(-1)
 
 
 def test_verify_all_reports_agreement():

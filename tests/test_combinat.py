@@ -116,6 +116,30 @@ def test_series_extraction_rejects_a_non_integral_count(extract, monkeypatch):
         extract(3, 6, 2)
 
 
+def _out_of_range(first, second):
+    """Arguments (r, first, second) out of range, each with _validate's
+    message, for a count whose two counts are named first and second."""
+    return [
+        ((0, 3, 1), "^minimum block/cycle size r must be >= 1, got 0$"),
+        ((3, -1, 0), f"^{first} must be >= 0, got -1$"),
+        ((3, 3, -1), f"^{second} must be >= 0, got -1$"),
+    ]
+
+
+@pytest.mark.parametrize("extract", [stirling2_from_series, derangement_from_series])
+def test_series_extraction_rejects_arguments_out_of_range(extract):
+    for args, message in _out_of_range("l", "j"):
+        with pytest.raises(ValueError, match=message):
+            extract(*args)
+
+
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+def test_enumeration_rejects_arguments_out_of_range(kind):
+    for args, message in _out_of_range("n", "k"):
+        with pytest.raises(ValueError, match=message):
+            enumerate_oracle(*args, kind)
+
+
 def test_enumeration_cap_enforced():
     with pytest.raises(ValueError):
         enumerate_oracle(3, ENUMERATION_LIMIT + 1, 1, "partition")

@@ -7,9 +7,11 @@ A pin records the bits of an accepted tree; it does not vouch for them:
 the accuracy of each value is the business of test_asymptotic.  The
 series sums of the series-vs-quadrature calls are the exception: each
 is the exact sum rounded once, to nearest, and that is checked here
-against mpmath's rounding of the same sum.
+against mpmath's rounding of the same sum.  A wider grid of quadratures
+is pinned as one digest.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -105,3 +107,29 @@ def test_pinned_series_sum_is_the_correctly_rounded_sum(call):
     )
     _, man, exp, _ = libmp.from_rational(exact.numerator, exact.denominator, bits, "n")
     assert (man, exp) == PINNED[call][1]
+
+
+# the quadrature at every n of GRID_NS and each of GRID_BITS, then both
+# results of the series-vs-quadrature comparison at 8 terms and 128 bits
+# for n = 2..59: 1278 calls, 1336 values, pinned as the sha256 of their
+# "mantissa exponent" lines.  The precision is the outer loop, so the
+# node cache keeps each precision's levels while its calls run
+GRID_NS = (*range(1, 301), 500, 1000, 5000, 20000, 10**5)
+GRID_BITS = (64, 128, 256, 512)
+GRID_DIGEST = "1151be8658ff56bd63b9c3574ec0f294ab7d94bc4cd0378ee6f6029b5fd87335"
+
+
+def test_quadrature_grid_keeps_its_bits():
+    values = [
+        asymptotic.stirling_ratio_quadrature(n, bits)
+        for bits in GRID_BITS
+        for n in GRID_NS
+    ]
+    values += [
+        value
+        for n in range(2, 60)
+        for value in asymptotic.expansion_vs_quadrature(n, 8, 128)
+    ]
+    assert len(values) == 1336
+    text = "".join(f"{man} {exp}\n" for man, exp in (v.man_exp for v in values))
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_DIGEST

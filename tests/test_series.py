@@ -62,6 +62,15 @@ def test_order_mismatch_is_rejected_not_truncated():
         a == b
     with pytest.raises(ValueError):
         a.compose(b)
+    # at order 0 no product inside compose sees the mismatch
+    with pytest.raises(ValueError, match="order mismatch: 0 vs 1"):
+        TruncatedSeries([1]).compose(TruncatedSeries.x(1))
+
+
+def test_series_are_unhashable():
+    # == raises on an order mismatch, so no hash could agree with it
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(TruncatedSeries([1]))
 
 
 @pytest.mark.parametrize(
@@ -368,6 +377,11 @@ def test_str_rendering():
     assert str(b) == "x - x^2/6 + x^3/36 - x^4/270 + x^5/4320 + x^6/17010"
     assert str(TruncatedSeries.zero(4)) == "0"
     assert str(TruncatedSeries([Fraction(-2, 3), 5])) == "-2/3 + 5*x"
+    # repr lists every coefficient up to the order, zeros included
+    assert (
+        repr(TruncatedSeries([1, Fraction(-1, 2)], order=3))
+        == "TruncatedSeries([1, -1/2, 0, 0])"
+    )
 
 
 def test_json_round_trip():
