@@ -262,13 +262,12 @@ def _nodes(wp: int, level: int) -> tuple[tuple[int, int], ...]:
     table in integers (_z_at), as the pair (Re z, Im z) * 2^wp, rounded
     down; no transcendental is computed.  The table is built for the
     level and dropped with it.  |z(u)| = e^(cos u - 1) <= 1, so a value
-    off the unit disc by more than two units raises ArithmeticError.
-    The nodes depend on neither n nor the pass, so a process computes
-    each once per precision and keeps the last levels it used: the
-    levels that reach the _MAX_PANELS cap, at two precisions.  At the
-    cap one precision holds 32769 pairs, and the cache at most twice
-    that (the comment on _MAX_PANELS gives their size, and a call's
-    peak).
+    off the unit disc by more than two units raises ArithmeticError,
+    naming the level and wp.  The values depend on nothing else, not n
+    nor the pass, so a process computes each once per precision and
+    keeps the last levels it used: those that reach the _MAX_PANELS cap,
+    at two precisions (the comment on _MAX_PANELS gives their size, and
+    a call's peak).
     """
     p = wp + _GUARD_BITS
     cosines = _root_cosines(max(level, 1), p)
@@ -280,7 +279,10 @@ def _nodes(wp: int, level: int) -> tuple[tuple[int, int], ...]:
     for j in range(1, 2**level, 2) if level else (0, 1):
         x, y = _z_at(stride * j, cosines, terms, damping, wp)
         if x * x + y * y > bound:
-            raise ArithmeticError
+            raise ArithmeticError(
+                f"quadrature node value off the unit disc at level {level}, "
+                f"{wp} working bits"
+            )
         values.append((x, y))
     return tuple(values)
 
@@ -345,30 +347,18 @@ class Dyadic(Fraction):
 def _round(num: int, den: int, bits: int) -> Dyadic:
     """num/den, den > 0, rounded to bits significant bits, half to even.
 
-    The quotient is taken to bits + 2 or bits + 3 bits, and the
-    remainder of that division tells a tie from a value past it; a
-    mantissa rounded up to 2^bits is still exact.  This is the rounding
-    of mpmath's division of exact values, and of its conversion of an
-    int, at a precision of bits; it is the one place in the module where
-    a rational becomes a binary value.
+    This is the rounding of mpmath's division of exact values, and of its
+    conversion of an int, at a precision of bits; it is the one place in
+    the module where a rational becomes a binary value.
     """
-    if not num:
-        return Dyadic(0)
-    magnitude = abs(num)
-    # 2^(bits+1) < |num/den| 2^-exp < 2^(bits+3)
-    exp = magnitude.bit_length() - den.bit_length() - bits - 2
-    if exp < 0:
-        man, rest = divmod(magnitude << -exp, den)
-    else:
-        man, rest = divmod(magnitude, den << exp)
-    drop = man.bit_length() - bits
-    half = 1 << (drop - 1)
-    low = man & (2 * half - 1)
-    man >>= drop
-    if low > half or low == half and (rest or man & 1):
-        man += 1
-    man, exp = (-man if num < 0 else man), exp + drop
-    return Dyadic(man << exp) if exp >= 0 else Dyadic(man, 1 << -exp)
+    value = Fraction(num, den)
+    # |value| lies in [2^lead, 2^(lead+1)); unit is the weight of its
+    # last kept bit, so round() leaves bits significant bits
+    lead = abs(num).bit_length() - den.bit_length()
+    if abs(value) < Fraction(2) ** lead:
+        lead -= 1
+    unit = Fraction(2) ** (lead + 1 - bits)
+    return Dyadic(round(value / unit) * unit)
 
 
 @lru_cache(maxsize=4)
@@ -437,13 +427,9 @@ def stirling_ratio_quadrature(
     integrand is even, so only the half range [0, pi] is evaluated, with
     half the panels.
 
-    The integrand is Re(z(u)^n) with z(u) = exp(e^(iu) - 1 - iu), which
-    does not depend on n.  The nodes are roots of unity, and z is
-    computed from a table of them in integers, once per working
-    precision and node in a process, and kept in fixed point (_nodes,
-    which holds the nodes of at most two precisions at the cap); each
-    call raises it to the power n in integers (_real_power) and sums
-    each pass exactly, so no transcendental is computed per node.
+    The integrand is Re(z(u)^n) (_z_at gives z): each call takes z at
+    each level's nodes in fixed point from _nodes, raises it to the
+    power n in integers (_real_power) and sums each pass exactly.
 
     The full-range panel count starts at 2 and doubles, never past
     _MAX_PANELS, until two successive full-range results agree to
@@ -453,9 +439,9 @@ def stirling_ratio_quadrature(
     unit * T/P, with T its sum in units of 2^-wp, so two passes agree
     when |T_L - 2 T_(L-1)| <= limit * P_L, with limit the tolerance
     divided by unit, rounded down.  Only the settled sum is rounded, once,
-    in integers (_settled_ratio).  Failure to settle, or a node value off
-    the unit disc, raises ArithmeticError.  The result is the full-range
-    integral divided by sqrt(2 pi).
+    in integers (_settled_ratio).  Failure to settle raises
+    ArithmeticError, as _nodes does for a node value off the unit disc.
+    The result is the full-range integral divided by sqrt(2 pi).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -475,12 +461,7 @@ def stirling_ratio_quadrature(
     previous = None
     # levels 0..level are the nodes of 2^(level+1) full-range panels
     for level in range(_MAX_PANELS.bit_length() - 1):
-        try:
-            level_sum = sum(_real_power(z, n, wp) for z in _nodes(wp, level))
-        except ArithmeticError as exc:
-            raise ArithmeticError(
-                f"quadrature node value off the unit disc at n={n}"
-            ) from exc
+        level_sum = sum(_real_power(z, n, wp) for z in _nodes(wp, level))
         total += 2 * level_sum if level else level_sum
         panels = 2 ** (level + 1)
         if previous is not None and abs(total - 2 * previous) <= limit * panels:

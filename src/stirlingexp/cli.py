@@ -51,11 +51,8 @@ SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 # kernel powers.  Medians of three runs at the ceiling, pinned to one CPU
 # of a shared 2-vCPU machine, Python 3.11: coeffs --max 110 took 5.2 s,
 # series --order 260 4.3 s (inv-exp) and 5.2 s (inv-log), verify --max
-# 110 5.3 s.  At the previous ceilings, coeffs --max 100 took 3.8 s (7.1 s
-# with the reversion against the powers self^m), series --which inv-exp
-# --order 220 2.2 s (7.7 s) and verify --max 90 2.9 s (4.8 s).  Single
-# runs of coeffs --max 120 (8.9 s), series --order 300 (9.2 s) and verify
-# --max 120 (9.0 s) came too close to the budget
+# 110 5.3 s.  Single runs of coeffs --max 120 (8.9 s), series --order 300
+# (9.2 s) and verify --max 120 (9.0 s) came too close to the budget
 COEFFS_MAX_K = 110
 SERIES_MAX_ORDER = 260
 VERIFY_MAX_K = 110
@@ -64,8 +61,7 @@ VERIFY_MAX_K = 110
 # the table has about n^2/(2r) counts of up to 2568 digits (1000!), and
 # comb --r 1 --max-n 1000 --format json, stdout to a file and
 # PYTHONUNBUFFERED=1, wrote 442 MB in 3.5 s for partitions and 518 MB in
-# 3.9 s for derangements (medians of five, pinned to one CPU; 3.6 and
-# 4.2 s the same hour with a line function called per count), at a peak
+# 3.9 s for derangements (medians of five, pinned to one CPU), at a peak
 # RSS of 20.4 and 21.0 MB: the largest row is about 2.6 MB of text.  The
 # counts are Decimals, so the int-to-str digit limit does not apply
 COMB_MAX_N = 1000

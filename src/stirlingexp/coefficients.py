@@ -9,26 +9,18 @@ with a_0 = 1, a_1 = 1/12, a_2 = 1/288.  By Lagrange inversion
 with c_m the m-th Taylor coefficient of the compositional inverse of
 x * sqrt(kernel) (the exp and log sides share their odd coefficients);
 five of the six exact routes differ only in how they reach c_m, and
-each hands its c to _from_inverse, which takes the quotient.  Each
-route is listed with what it runs in the package on cold caches past
-coefficient_table and _require_index ("core": series' _first_order,
-_lift, as_fraction, _Running, and TruncatedSeries.__init__ and .order),
-as tests/test_coefficients.py checks it:
+each hands its c to _from_inverse, which takes the quotient.  The six:
 
-  exp-kernel, log-kernel (Lagrange inversion on the truncated kernel):
-    _kernel_table, inverse_egf_by_lagrange, kernel, _from_inverse;
-    series exp_kernel (log), power_rational, egf_coefficient, core
-  partition-sum, derangement-sum (alternating sums of 3-restricted
-    counts, one pass over the count rows): _sum_table, generalized_sums,
-    _from_inverse; combinat _rows
-  inverse-table (reversion, checked at every power against a recurrence):
-    _inverse_table, inverse_series, kernel, inverse_series_by_recurrence,
-    _from_inverse; series exp_kernel, power_rational, reversion,
-    __getitem__, coeffs, egf_coefficient, core
-  bernoulli (the exponential of the Bernoulli series, with B_m read off
-    one inverse of (e^x - 1)/x): expansion_coefficients,
-    _bernoulli_exponent; combinat bernoulli_numbers; series inverse,
-    egf_coefficient, exp, __add__, coeffs, core
+  exp-kernel, log-kernel: Lagrange inversion on the truncated kernel;
+  partition-sum, derangement-sum: alternating sums of 3-restricted
+    counts, one pass over the count rows;
+  inverse-table: reversion, checked at every power against a recurrence;
+  bernoulli: the exponential of the Bernoulli series, with B_m read off
+    one inverse of (e^x - 1)/x.
+
+On cold caches a route runs its own helpers here and the series and
+combinat functions it needs, and nothing else in the package; REACH in
+tests/test_coefficients.py lists them, route by route.
 
 coefficient_table is the one memo (functools.cache), one entry per
 (method, K), so a run that reads one table from several checks computes

@@ -146,7 +146,7 @@ def check_inverse_difference(
 ) -> list[IdentityReport]:
     """log-side inverse c minus exp-side inverse b is exactly x^2/2."""
     order = _common_order(b, c, 2)
-    target = TruncatedSeries.monomial(Fraction(1, 2), 2, order)
+    target = TruncatedSeries([0, 0, Fraction(1, 2)], order=order)
     return [report_from_pairs("inverse-difference", _series_pairs(c - b, target))]
 
 
@@ -159,7 +159,7 @@ def check_implicit_equations(
     log side:  C - x^2/2 == log(1 + C).
     """
     order = _common_order(b, c, 2)
-    half_square = TruncatedSeries.monomial(Fraction(1, 2), 2, order)
+    half_square = TruncatedSeries([0, 0, Fraction(1, 2)], order=order)
     return [
         report_from_pairs(
             "implicit-exp", _series_pairs(b.exp() - 1 - b, half_square)
@@ -184,8 +184,8 @@ def check_differential_equations(
     order = _common_order(b, c, 3)
     bp, cp = b.derivative(), c.derivative()
     bt, ct = b.truncate(order - 1), c.truncate(order - 1)
-    x = TruncatedSeries.x(order - 1)
-    half_square = TruncatedSeries.monomial(Fraction(1, 2), 2, order - 1)
+    x = TruncatedSeries([0, 1], order=order - 1)
+    half_square = TruncatedSeries([0, 0, Fraction(1, 2)], order=order - 1)
     return [
         report_from_pairs(
             "diffeq-exp", _series_pairs(bp * bt, x - half_square * bp)

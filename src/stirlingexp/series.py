@@ -134,31 +134,6 @@ class TruncatedSeries:
         self._coeffs = tuple(items)
 
     # ------------------------------------------------------------------
-    # construction helpers
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order=order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order=order)
-
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        """The identity series x."""
-        if order < 1:
-            raise ValueError("the series x needs order >= 1")
-        return cls([0, 1], order=order)
-
-    @classmethod
-    def monomial(cls, coeff: Scalar, power: int, order: int) -> "TruncatedSeries":
-        """The single term coeff * x^power."""
-        if not 0 <= power <= order:
-            raise ValueError(f"power {power} outside [0, {order}]")
-        return cls([0] * power + [coeff], order=order)
-
-    # ------------------------------------------------------------------
     # basic accessors
 
     @property

@@ -496,7 +496,11 @@ def test_quadrature_node_off_the_unit_disc_raises(monkeypatch):
     monkeypatch.setattr(
         asymptotic, "_z_at", lambda k, cosines, terms, damping, wp: (0, 2 << wp)
     )
-    with pytest.raises(ArithmeticError, match="off the unit disc at n=5"):
+    # the message names what the node values depend on: the level and
+    # the working bits, not n
+    wp = 128 + asymptotic._GUARD_BITS
+    message = f"off the unit disc at level 0, {wp} working bits"
+    with pytest.raises(ArithmeticError, match=message):
         stirling_ratio_quadrature(5, 128)
     # nothing of the failed pass stays cached
     monkeypatch.undo()

@@ -289,9 +289,10 @@ def test_two_random_routes_agree_exactly_at_larger_k(k, pair):
 # What coefficient_table(method, 6) runs in the package on cold caches,
 # besides coefficient_table and _require_index, which every route runs.
 # A method is Class.name, a function module.name.  FIRST_ORDER is the
-# series core that every route through TruncatedSeries stands on.  The
-# coefficients docstring holds the same table; a helper that a route
-# starts to share shows up here as an edit of its row.
+# series core that every route through TruncatedSeries stands on.  This
+# is the one statement of the table, to which the coefficients docstring
+# points; a helper that a route starts to share shows up here as an edit
+# of its row.
 FIRST_ORDER = {
     "TruncatedSeries.__init__", "TruncatedSeries.order",
     "TruncatedSeries._first_order", "series._lift", "series.as_fraction",
