@@ -195,11 +195,14 @@ def _root_cosines(level: int, p: int) -> list[int]:
 
 
 def _series(p: int) -> tuple[int, int]:
-    """(M, e^-h * 2^p rounded down), h = 2^-_HALVINGS.
+    """(M, e^-h * 2^p to within two units), h = 2^-_HALVINGS.
 
     M is the number of terms of the series of e^(h w), |w| = 1, that
     reach 2^-p: the least M with h^M/M! < 2^-p.  e^-h is that series at
     w = -1, summed in the Horner scheme that _z_at sums each node by.
+    The terms left out come to less than a unit, and the floors of the
+    sum to less than one more (1.89 units at most, measured at p up to
+    1300).
     """
     terms, bound = 0, 1
     while bound <= 1 << p:

@@ -27,7 +27,6 @@ from __future__ import annotations
 # cached, these modules are compiled on import, and compiled after the
 # standard-library modules below had loaded they raised the peak RSS of
 # coeffs and verify by 0.15-0.23 MB (0.02-0.09 MB when compiled first)
-from .series import format_rational
 from . import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, coefficients, combinat
 
 import argparse
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=["all"],
     )
     p_coeffs.add_argument("--format", choices=FORMATS, default="plain")
+    p_coeffs.set_defaults(run=_run_coeffs)
 
     p_series = sub.add_parser(
         "series", help="one of the named series as exact fractions"
@@ -138,12 +138,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--which", choices=SERIES_CHOICES, required=True)
     p_series.add_argument("--order", type=int, default=6, metavar="K")
     p_series.add_argument("--format", choices=FORMATS, default="plain")
+    p_series.set_defaults(run=_run_series)
 
     p_verify = sub.add_parser("verify", help="run the whole identity suite")
     p_verify.add_argument("--max", type=int, default=12, metavar="K")
     p_verify.add_argument(
         "--format", choices=("plain", "json"), default="plain"
     )
+    p_verify.set_defaults(run=_run_verify)
 
     p_approx = sub.add_parser("approx", help="truncated-expansion report for n!")
     p_approx.add_argument("--n", type=int, required=True)
@@ -156,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{DEFAULT_PRECISION_BITS})",
     )
     p_approx.add_argument("--format", choices=FORMATS, default="plain")
+    p_approx.set_defaults(run=_run_approx)
 
     p_comb = sub.add_parser(
         "comb", help="restricted partition / permutation count tables"
@@ -166,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", choices=combinat.KINDS, default="partition"
     )
     p_comb.add_argument("--format", choices=FORMATS, default="plain")
+    p_comb.set_defaults(run=_run_comb)
 
     return parser
 
@@ -235,7 +239,7 @@ def _run_coeffs(args) -> int:
             header = ["k"] + [method for method, _ in cross.tables] + ["agree"]
             rows = [
                 [k]
-                + [format_rational(values[k]) for _, values in cross.tables]
+                + [values[k] for _, values in cross.tables]
                 + ["no" if k in cross.mismatches else "yes"]
                 for k in range(args.max + 1)
             ]
@@ -244,8 +248,7 @@ def _run_coeffs(args) -> int:
             lines = []
             for k in range(args.max + 1):
                 cells = ", ".join(
-                    f"{method}={format_rational(values[k])}"
-                    for method, values in cross.tables
+                    f"{method}={values[k]}" for method, values in cross.tables
                 )
                 flag = "MISMATCH" if k in cross.mismatches else "ok"
                 lines.append(f"a_{k}: {cells} [{flag}]")
@@ -268,7 +271,7 @@ def _run_series(args) -> int:
             payload = {"which": args.which, **series.to_json_dict()}
             print(json.dumps(payload, indent=2), file=out)
         elif args.format == "csv":
-            rows = [(i, format_rational(c)) for i, c in enumerate(series.coeffs)]
+            rows = list(enumerate(series.coeffs))
             print(_csv_text(["power", "coeff"], rows), file=out)
         else:
             print(f"{args.which}(x) = {series}", file=out)
@@ -391,20 +394,11 @@ def _run_comb(args) -> int:
     return 0
 
 
-_RUNNERS = {
-    "coeffs": _run_coeffs,
-    "series": _run_series,
-    "verify": _run_verify,
-    "approx": _run_approx,
-    "comb": _run_comb,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,8 @@ tests/test_coefficients.py lists them, route by route.
 coefficient_table is the one memo (functools.cache), one entry per
 (method, K), so a run that reads one table from several checks computes
 it once; no two routes share a cached value.  The sums and the
-recurrence add integer numerators over one common denominator, as the
-series kernels do.
+recurrence add integer numerators over one common denominator, as
+series' products and recurrences do.
 """
 
 from __future__ import annotations
@@ -39,13 +39,7 @@ from functools import cache, partial
 from itertools import islice
 
 from . import combinat
-from .series import (
-    TruncatedSeries,
-    _Running,
-    exp_kernel,
-    log_kernel,
-    format_rational,
-)
+from .series import TruncatedSeries, _Running
 
 __all__ = [
     "COEFF_METHODS",
@@ -65,10 +59,22 @@ KERNELS = ("exp", "log")
 
 
 def kernel(kind: str, order: int) -> TruncatedSeries:
-    """The exp or log kernel, by name, truncated at ``order``."""
+    """The exp or log kernel, by name, truncated at ``order``.
+
+    exp is the normalized left-truncated exponential 2(e^x - 1 - x)/x^2,
+    with ordinary coefficients 2/(j+2)!: 1 + x/3 + x^2/12 + x^3/60 + ...
+    log is the normalized left-truncated logarithm 2(x - log(1+x))/x^2,
+    with ordinary coefficients 2(-1)^j/(j+2): 1 - 2x/3 + x^2/2 - 2x^3/5
+    + ...  Both have constant term 1, which makes them valid bases for
+    power_rational.
+    """
     if kind not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
-    return exp_kernel(order) if kind == "exp" else log_kernel(order)
+    if kind == "exp":
+        coeffs = [Fraction(2, math.factorial(j + 2)) for j in range(order + 1)]
+    else:
+        coeffs = [Fraction(2 * (-1) ** j, j + 2) for j in range(order + 1)]
+    return TruncatedSeries(coeffs, order=order)
 
 
 def _require_index(k: int) -> None:
@@ -258,7 +264,7 @@ class CrossCheck(namedtuple("CrossCheck", "index_max tables mismatches")):
             "agreed": self.agreed,
             "mismatches": list(self.mismatches),
             "tables": [
-                {"method": method, "values": [format_rational(v) for v in values]}
+                {"method": method, "values": list(map(str, values))}
                 for method, values in self.tables
             ],
         }

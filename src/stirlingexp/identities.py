@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from .coefficients import coefficient_table, generalized_sums, inverse_series
-from .series import TruncatedSeries, format_rational
+from .series import TruncatedSeries
 
 __all__ = [
     "IdentityReport",
@@ -65,11 +65,7 @@ class IdentityReport(namedtuple("IdentityReport", "identity lo hi failures")):
             "identity": self.identity,
             "range": [self.lo, self.hi],
             "failures": [
-                {
-                    "index": i,
-                    "left": format_rational(left),
-                    "right": format_rational(right),
-                }
+                {"index": i, "left": str(left), "right": str(right)}
                 for i, left, right in self.failures
             ],
         }

@@ -5,7 +5,8 @@ power series through a fixed truncation order K.  Every operation is
 exact: coefficients are reduced ``fractions.Fraction`` values, truncation
 discards only powers above K, and retained coefficients are never
 perturbed.  Floating point is deliberately not accepted anywhere in this
-module.
+module.  The layer is generic: it knows no particular series, and the
+paper's two kernels are built in coefficients.
 
 ``inverse``, ``exp``, ``log1p`` and ``power_rational`` are one
 first-order recurrence, ``_first_order``, with four choices of weights.
@@ -42,14 +43,7 @@ from fractions import Fraction
 from itertools import count
 from operator import mul
 
-__all__ = [
-    "TruncatedSeries",
-    "exp_kernel",
-    "log_kernel",
-    "as_fraction",
-    "format_rational",
-    "parse_rational",
-]
+__all__ = ["TruncatedSeries", "as_fraction"]
 
 Scalar = int | Fraction
 
@@ -61,16 +55,6 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
-
-
-def format_rational(value: Scalar) -> str:
-    """Render a rational as ``p/q`` in lowest terms, or ``p`` when q == 1."""
-    return str(as_fraction(value))
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or ``p`` back into a Fraction."""
-    return Fraction(text.strip())
 
 
 def _lift(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -335,7 +319,7 @@ class TruncatedSeries:
     # presentation and serialization
 
     def __repr__(self) -> str:
-        body = ", ".join(format_rational(c) for c in self._coeffs)
+        body = ", ".join(map(str, self._coeffs))
         return f"TruncatedSeries([{body}])"
 
     def __str__(self) -> str:
@@ -345,7 +329,7 @@ class TruncatedSeries:
                 continue
             mag = -c if c < 0 else c
             if i == 0:
-                body = format_rational(mag)
+                body = str(mag)
             else:
                 x = "x" if i == 1 else f"x^{i}"
                 if mag == 1:
@@ -353,7 +337,7 @@ class TruncatedSeries:
                 elif mag.numerator == 1:
                     body = f"{x}/{mag.denominator}"
                 else:
-                    body = f"{format_rational(mag)}*{x}"
+                    body = f"{mag}*{x}"
             if not terms:
                 terms.append(body if c > 0 else f"-{body}")
             else:
@@ -365,39 +349,20 @@ class TruncatedSeries:
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
-            "coeffs": [format_rational(c) for c in self._coeffs],
+            "coeffs": list(map(str, self._coeffs)),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TruncatedSeries":
         order = payload["order"]
-        coeffs = [parse_rational(c) for c in payload["coeffs"]]
+        # a coefficient that is not text goes on as it is to the
+        # constructor's as_fraction, which refuses a JSON number's float
+        coeffs = [
+            Fraction(c) if isinstance(c, str) else c for c in payload["coeffs"]
+        ]
         if len(coeffs) != order + 1:
             raise ValueError(
                 f"series payload claims order {order} but carries "
                 f"{len(coeffs)} coefficients"
             )
         return cls(coeffs, order=order)
-
-
-def exp_kernel(order: int) -> TruncatedSeries:
-    """The normalized left-truncated exponential 2(e^x - 1 - x)/x^2.
-
-    Ordinary coefficients 2/(j+2)! for j >= 0, so the series starts
-    1 + x/3 + x^2/12 + x^3/60 + ...  Its constant term is 1, which makes
-    it a valid base for power_rational.
-    """
-    return TruncatedSeries(
-        [Fraction(2, math.factorial(j + 2)) for j in range(order + 1)], order=order
-    )
-
-
-def log_kernel(order: int) -> TruncatedSeries:
-    """The normalized left-truncated logarithm 2(x - log(1+x))/x^2.
-
-    Ordinary coefficients 2*(-1)^j/(j+2) for j >= 0, so the series starts
-    1 - 2x/3 + x^2/2 - 2x^3/5 + ...
-    """
-    return TruncatedSeries(
-        [Fraction(2 * (-1) ** j, j + 2) for j in range(order + 1)], order=order
-    )

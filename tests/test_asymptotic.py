@@ -69,6 +69,27 @@ def _power(n, z):
     return mp.ldexp(asymptotic._real_power(z, n, _WP), -_WP)
 
 
+def test_damping_is_within_two_units_of_e_to_the_minus_h():
+    # the Horner sum floors at each step and leaves out a tail, so it is
+    # not the floor of e^-h 2^p (1.11 units above at p = 55); its M terms
+    # are the least with h^M/M! < 2^-p
+    h = mp.mpf(2) ** -asymptotic._HALVINGS
+    for p in range(8, 300):
+        terms, damping = asymptotic._series(p)
+        with mp.workprec(p + 64):
+            assert abs(damping - mp.exp(-h) * 2**p) < 2, p
+            assert h**terms / mp.factorial(terms) < mp.mpf(2) ** -p, p
+            assert h ** (terms - 1) / mp.factorial(terms - 1) >= mp.mpf(2) ** -p
+
+
+def test_the_node_cache_holds_every_level_at_two_precisions():
+    # the 65536 full-range panels of _MAX_PANELS are levels 0..15; the
+    # cache keeps all of them at two precisions, the memory its comment
+    # bounds, and no more
+    assert asymptotic._MAX_PANELS == 2**16
+    assert asymptotic._nodes.cache_info().maxsize == 2 * 16
+
+
 def test_integrand_is_even():
     # z(-u) is the conjugate of z(u): index N - k is -u on the table of
     # N roots; the two are built by different products, so they agree to
@@ -101,6 +122,9 @@ def test_integrand_matches_the_complex_form():
     with mp.workprec(_WP):
         for level in range(6):
             z_at, size = _kernel(level)
+            # the level's own roots: a finer table has the same values at
+            # the same angles, at the cost of its extra doublings
+            assert size == 2 ** (max(level, 1) + 1), level
             for k in range(size):
                 u = 2 * mp.pi * k / size
                 z = z_at(k)
@@ -448,6 +472,14 @@ def test_machin_pi_is_rounded_down_within_a_twentieth(bits):
     assert -1 - twentieth < error < twentieth
 
 
+def _rounded_ratio(n, total, panels, wp, bits):
+    """total sqrt(2 pi n)/(panels 2^wp) rounded once by mpmath at bits."""
+    with mp.workprec(bits + 300):
+        exact = mp.mpf(total) * mp.sqrt(2 * mp.pi * n) / panels / mp.mpf(2) ** wp
+    with mp.workprec(bits):
+        return +exact
+
+
 def test_settled_ratio_widens_until_it_rounds_once(monkeypatch):
     # at 4 bits of sqrt(2 pi n) the two ends of its range round apart,
     # so the precision doubles until they agree; the value is then the
@@ -461,11 +493,37 @@ def test_settled_ratio_widens_until_it_rounds_once(monkeypatch):
     monkeypatch.setattr(asymptotic, "_pi", recording)
     n, total, panels, wp, bits = 7, 3 * 2**93 + 12345, 64, 88, 64
     value = asymptotic._settled_ratio(n, total, panels, wp, bits, 4)
-    with mp.workprec(bits + 300):
-        exact = mp.mpf(total) * mp.sqrt(2 * mp.pi * n) / panels / mp.mpf(2) ** wp
-    with mp.workprec(bits):
-        assert value._mpf_ == (+exact)._mpf_
+    assert value._mpf_ == _rounded_ratio(n, total, panels, wp, bits)._mpf_
     assert sizes[:3] == [8, 16, 32] and len(sizes) > 3
+
+
+@pytest.mark.parametrize("bits", [4, 16])
+def test_settled_ratio_rounds_correctly_wherever_the_root_falls(bits):
+    # at p = 4 the root's range r - 1 .. r + 2 spans rounding boundaries
+    # of a few bits for many totals; a result rounded from only part of
+    # the range is wrong for some of them
+    for total in range(1, 100):
+        value = asymptotic._settled_ratio(7, total, 1, 0, bits, 4)
+        assert value._mpf_ == _rounded_ratio(7, total, 1, 0, bits)._mpf_, total
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+def test_the_root_rounds_at_its_first_precision(monkeypatch, bits):
+    # the quadrature starts the root _GUARD_BITS below the result's last
+    # bit, so its range r - 1 .. r + 2 meets a rounding boundary about
+    # once in 2^_GUARD_BITS calls and p does not double; 2^p > sqrt(n)
+    # alone would round correctly too, but retry about one call in eight
+    sizes, original = [], asymptotic._pi
+
+    def recording(size):
+        sizes.append(size)
+        return original(size)
+
+    monkeypatch.setattr(asymptotic, "_pi", recording)
+    for n in range(1, 41):
+        sizes.clear()
+        stirling_ratio_quadrature(n, bits)
+        assert len(set(sizes)) == 1, (n, sizes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 5000])

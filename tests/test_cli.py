@@ -23,12 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from stirlingexp import (
-    asymptotic, cli, coefficients, combinat, identities, series,
-)
+from stirlingexp import asymptotic, cli, coefficients, combinat, identities
 from stirlingexp.coefficients import COEFF_METHODS
 from stirlingexp.identities import report_from_pairs
-from stirlingexp.series import TruncatedSeries, parse_rational
+from stirlingexp.series import TruncatedSeries
 
 
 def run_cli(capsys, argv):
@@ -65,7 +63,7 @@ def test_coeffs_json_round_trip(capsys):
     assert payload["agreed"] is True
     assert [t["method"] for t in payload["tables"]] == list(COEFF_METHODS)
     for table in payload["tables"]:
-        values = [parse_rational(v) for v in table["values"]]
+        values = [Fraction(v) for v in table["values"]]
         assert values[0] == 1
         assert values[1] == Fraction(1, 12)
         assert values[4] == Fraction(-571, 2488320)
@@ -181,7 +179,7 @@ def test_size_above_the_ceiling_is_usage_error(capsys, monkeypatch, argv):
         raise AssertionError("work started above the ceiling")
 
     for module, name in [(coefficients, "verify_all"), (identities, "run_all"),
-                         (coefficients, "inverse_series"), (series, "exp_kernel"),
+                         (coefficients, "inverse_series"), (coefficients, "kernel"),
                          (asymptotic, "approx_factorial")]:
         monkeypatch.setattr(module, name, no_work)
     code, out, err = run_cli(capsys, argv)

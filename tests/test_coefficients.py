@@ -181,9 +181,10 @@ def test_expansion_is_the_odd_taylor_coefficients_of_the_inverse():
     assert coefficient_table("inverse-table", 4) == tuple(values)
 
 
-@pytest.mark.parametrize("power", [4, 5])
+@pytest.mark.parametrize("power", [4, 5, 13])
 def test_inverse_table_detects_a_corrupt_recurrence(monkeypatch, power):
-    # reversion and recurrence are compared at every power, even and odd
+    # reversion and recurrence are compared at every power, even and odd,
+    # through x^13, the top one at index 6
     original = coefficients.inverse_series_by_recurrence
 
     def corrupted(kind, order):
@@ -302,14 +303,14 @@ REACH = {
     "exp-kernel": {
         "coefficients._kernel_table",
         "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
-        "coefficients._from_inverse", "series.exp_kernel",
+        "coefficients._from_inverse",
         "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",
         *FIRST_ORDER,
     },
     "log-kernel": {
         "coefficients._kernel_table",
         "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
-        "coefficients._from_inverse", "series.log_kernel",
+        "coefficients._from_inverse",
         "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",
         *FIRST_ORDER,
     },
@@ -331,7 +332,7 @@ REACH = {
     "inverse-table": {
         "coefficients._inverse_table", "coefficients.inverse_series",
         "coefficients.kernel", "coefficients.inverse_series_by_recurrence",
-        "coefficients._from_inverse", "series.exp_kernel",
+        "coefficients._from_inverse",
         "TruncatedSeries.power_rational", "TruncatedSeries.reversion",
         "TruncatedSeries.coeffs", "TruncatedSeries.__getitem__",
         "TruncatedSeries.egf_coefficient", *FIRST_ORDER,
