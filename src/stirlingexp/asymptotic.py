@@ -18,11 +18,13 @@ caller-supplied; nothing here auto-selects an order.
 
 Importing the module loads neither mpmath nor the exact layers: each
 function imports what it uses on its first call, so the quadrature
-alone never compiles series, combinat or coefficients, and neither the
-quadrature nor expansion_vs_quadrature loads mpmath.  approx_factorial
-imports the exact layers before it loads mpmath: where bytecode is not
-cached, these modules are compiled on import, and compiled after mpmath
-had loaded they raised the peak RSS of a numeric session by 1.0 MB.
+alone never compiles series or coefficients, no function here compiles
+combinat (the bernoulli table needs only series and coefficients), and
+neither the quadrature nor expansion_vs_quadrature loads mpmath.
+approx_factorial imports the exact layers before it loads mpmath: where
+bytecode is not cached, these modules are compiled on import, and
+compiled after mpmath had loaded they raised the peak RSS of a numeric
+session by 1.0 MB.
 This is the one statement of that reason; the other places that keep
 the order point here.  The annotations name mpmath's types without
 loading it, since they are never evaluated.

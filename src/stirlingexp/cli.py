@@ -33,7 +33,6 @@ import argparse
 import contextlib
 import gc
 import io
-import json
 import os
 import sys
 from collections.abc import Iterator, Sequence
@@ -47,11 +46,13 @@ SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 # ceilings that keep one command within a budget of 10 s of wall time;
 # the cost grows about as K^4, in series reversion (order 2K+1 for coeffs
 # and verify, order K for series and verify's inverse series) and in the
-# kernel powers.  Medians of three runs at the ceiling, pinned to one CPU
-# of a shared 2-vCPU machine, Python 3.11: coeffs --max 110 took 5.2 s,
-# series --order 260 4.3 s (inv-exp) and 5.2 s (inv-log), verify --max
-# 110 5.3 s.  Single runs of coeffs --max 120 (8.9 s), series --order 300
-# (9.2 s) and verify --max 120 (9.0 s) came too close to the budget
+# kernel powers.  Fresh processes at the ceiling, pinned to one CPU of a
+# shared 2-vCPU machine, Python 3.11.7, on a busy day: coeffs --max 110
+# took 3.1-3.5 s and verify --max 110 3.0-3.5 s (five runs each), series
+# --order 260 2.8-3.3 s (inv-exp) and 4.2-4.9 s (inv-log) (three runs
+# each).  Single runs of coeffs --max 120 (8.9 s), series --order 300
+# (9.2 s) and verify --max 120 (9.0 s), timed when these three took
+# 5.2-5.3 s, came too close to the budget
 COEFFS_MAX_K = 110
 SERIES_MAX_ORDER = 260
 VERIFY_MAX_K = 110
@@ -71,10 +72,11 @@ COMB_MAX_N = 1000
 APPROX_MAX_N = 1000
 
 # ceilings on approx --terms and the precision (--precision-bits or its
-# environment default), within the 10 s budget above even together:
-# approx --n 1000 --terms 600 took 4.3-4.7 s, --precision-bits 262144
-# 2.0 s, both at once 6.2-6.5 s (--terms 800 took 11.2 s,
-# --precision-bits 1048576 24 s)
+# environment default), within the 10 s budget above even together.  On
+# the machine and day above: approx --n 1000 --terms 600 took 1.2-1.3 s
+# (five runs), --precision-bits 262144 1.9-2.1 s (three), both at once
+# 2.2-3.0 s (five); approx_factorial(1000, 800, 64) took 7.5 s
+# (--precision-bits 1048576 took 24 s, timed earlier)
 APPROX_MAX_TERMS = 600
 APPROX_MAX_PRECISION_BITS = 262144
 
@@ -224,6 +226,14 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(",".join(map(str, row)) for row in [header, *rows])
 
 
+def _json_text(payload) -> str:
+    # json is loaded here, by a run that prints JSON, and by no other:
+    # comb writes its JSON by hand, and the plain and csv text need none
+    import json
+
+    return json.dumps(payload, indent=2)
+
+
 def _run_coeffs(args) -> int:
     if args.max < 0:
         raise _UsageError("--max must be >= 0")
@@ -234,7 +244,7 @@ def _run_coeffs(args) -> int:
         if args.format == "json":
             payload = cross.to_json_dict()
             del payload["mismatches"]
-            print(json.dumps(payload, indent=2), file=out)
+            print(_json_text(payload), file=out)
         elif args.format == "csv":
             header = ["k"] + [method for method, _ in cross.tables] + ["agree"]
             rows = [
@@ -269,7 +279,7 @@ def _run_series(args) -> int:
             series = coefficients.kernel(head, args.order)
         if args.format == "json":
             payload = {"which": args.which, **series.to_json_dict()}
-            print(json.dumps(payload, indent=2), file=out)
+            print(_json_text(payload), file=out)
         elif args.format == "csv":
             rows = list(enumerate(series.coeffs))
             print(_csv_text(["power", "coeff"], rows), file=out)
@@ -294,7 +304,7 @@ def _run_verify(args) -> int:
                 "identities": [r.to_json_dict() for r in reports],
                 "cross_check": cross.to_json_dict(),
             }
-            print(json.dumps(payload, indent=2), file=out)
+            print(_json_text(payload), file=out)
         else:
             lines = []
             for r in reports:
@@ -330,7 +340,7 @@ def _run_approx(args) -> int:
         report = asymptotic.approx_factorial(args.n, args.terms, precision)
         d = report.to_json_dict()
         if args.format == "json":
-            print(json.dumps(d, indent=2), file=out)
+            print(_json_text(d), file=out)
         elif args.format == "csv":
             print(_csv_text(list(d), [list(d.values())]), file=out)
         else:

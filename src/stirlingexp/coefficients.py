@@ -15,12 +15,19 @@ each hands its c to _from_inverse, which takes the quotient.  The six:
   partition-sum, derangement-sum: alternating sums of 3-restricted
     counts, one pass over the count rows;
   inverse-table: reversion, checked at every power against a recurrence;
-  bernoulli: the exponential of the Bernoulli series, with B_m read off
-    one inverse of (e^x - 1)/x.
+  bernoulli: the exponential of the Bernoulli series, with B_m from the
+    tangent numbers.
 
 On cold caches a route runs its own helpers here and the series and
 combinat functions it needs, and nothing else in the package; REACH in
-tests/test_coefficients.py lists them, route by route.
+tests/test_coefficients.py lists them, route by route.  Each route
+computes only what its own table reads: a kernel route builds its
+kernel once, at the largest order it needs, and truncates it for each
+power; the sum routes cut the count rows to the counts their sums add;
+the Bernoulli numbers are integers until the last division.  Only the
+sum routes load combinat, which generalized_sums imports when it runs,
+so a session that reads the bernoulli table alone (every asymptotic
+one) never compiles the counting layer.
 
 coefficient_table is the one memo (functools.cache), one entry per
 (method, K), so a run that reads one table from several checks computes
@@ -38,13 +45,13 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
 
-from . import combinat
 from .series import TruncatedSeries, _Running
 
 __all__ = [
     "COEFF_METHODS",
     "KERNELS",
     "kernel",
+    "bernoulli_numbers",
     "expansion_coefficients",
     "inverse_series",
     "inverse_egf_by_lagrange",
@@ -77,6 +84,36 @@ def kernel(kind: str, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order=order)
 
 
+def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_m, with the B_1 = -1/2 convention.
+
+    B_j is the j-th Taylor coefficient of x/(e^x - 1) (Comtet, *Advanced
+    Combinatorics*, 1974).  Past B_1 the odd ones vanish, and
+
+        B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1)),
+
+    with T_n the tangent numbers, tan x = sum_n T_n x^(2n-1)/(2n-1)!.
+    Brent and Harvey's recurrence ("Fast computation of Bernoulli,
+    Tangent and Secant numbers", 2011) builds T_1 .. T_(m/2) in place, in
+    integers: T_k = (k-1) T_(k-1), then T_j = (j-k) T_(j-1) + (j-k+2) T_j
+    for 2 <= k <= j.  Each B_2n is one Fraction of two integers.
+    """
+    if m < 0:
+        raise ValueError(f"Bernoulli index must be >= 0, got {m}")
+    tangent = [0, 1]
+    for k in range(2, m // 2 + 1):
+        tangent.append((k - 1) * tangent[-1])
+    for k in range(2, len(tangent)):
+        for j in range(k, len(tangent)):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    numbers = [Fraction(1), Fraction(-1, 2)]
+    for n in range(1, len(tangent)):
+        power = 4**n
+        even = Fraction((-1) ** (n - 1) * 2 * n * tangent[n], power * (power - 1))
+        numbers += [even, Fraction(0)]
+    return tuple(numbers[: m + 1])
+
+
 def _require_index(k: int) -> None:
     if k < 0:
         raise ValueError(f"coefficient index must be >= 0, got {k}")
@@ -98,7 +135,13 @@ def inverse_egf_by_lagrange(kind: str, k: int) -> Fraction:
     """
     if k < 1:
         raise ValueError(f"Lagrange route needs k >= 1, got {k}")
-    power = kernel(kind, k - 1).power_rational(Fraction(-k, 2))
+    return _lagrange(kernel(kind, k - 1), k)
+
+
+def _lagrange(base: TruncatedSeries, k: int) -> Fraction:
+    # the (k-1)-th derivative at 0 of base^(-k/2), which reads base only
+    # to x^(k-1): any kernel of order >= k - 1 serves
+    power = base.truncate(k - 1).power_rational(Fraction(-k, 2))
     return power.egf_coefficient(k - 1)
 
 
@@ -112,20 +155,24 @@ def generalized_sums(kind: str, m_max: int) -> tuple[Fraction, ...]:
     exp-side (partition) or log-side (derangement) inverse series, and
     G(0) = 0.  Each count S(n, j) belongs to the one sum m = n - 2j + 1,
     and rows 0 .. 3 m_max - 3 hold every count that some m <= m_max
-    reads.  The rows come in ascending n, so each sum meets its j in
-    ascending order and adds them as integers over its denominator
-    (m+1)(m+3)...(3m-3) by Horner's rule.
+    reads.  The rows are cut below at the same bound, so the pass
+    computes only the counts it adds: row n starts at column
+    combinat._first_read(n, m_max).  The rows come in ascending n, so
+    each sum meets its j in ascending order and adds them as integers
+    over its denominator (m+1)(m+3)...(3m-3) by Horner's rule.
     """
+    from . import combinat
+
     if kind not in combinat.KINDS:
         raise ValueError(f"kind must be one of {combinat.KINDS}, got {kind!r}")
     if m_max < 1:
         raise ValueError(f"index must be >= 1, got {m_max}")
     totals = [0] * (m_max + 1)
-    for n, row in enumerate(islice(combinat._rows(3, kind), 3 * m_max - 2)):
-        for j, count in enumerate(row):
+    rows = combinat._rows(3, kind, m_max=m_max)
+    for n, row in enumerate(islice(rows, 3 * m_max - 2)):
+        for j, count in enumerate(row, combinat._first_read(n, m_max)):
             m = n - 2 * j + 1
-            if m <= m_max:
-                totals[m] = totals[m] * (m + 2 * j - 1) + (-1) ** j * count
+            totals[m] = totals[m] * (m + 2 * j - 1) + (-1) ** j * count
     sign = -1 if kind == "derangement" else 1
     return tuple(
         Fraction(sign ** (m + 1) * total, math.prod(range(m + 1, 3 * m - 2, 2)))
@@ -134,8 +181,12 @@ def generalized_sums(kind: str, m_max: int) -> tuple[Fraction, ...]:
 
 
 def _kernel_table(kind: str, index_max: int) -> tuple[Fraction, ...]:
-    """a_0 .. a_index_max, each by Lagrange inversion on the kernel."""
-    return _from_inverse(partial(inverse_egf_by_lagrange, kind), index_max)
+    """a_0 .. a_index_max, each by Lagrange inversion on the kernel.
+
+    The kernel is built once, at order 2 index_max, the most that c_m for
+    m = 2 index_max + 1 reads; each power takes its truncation.
+    """
+    return _from_inverse(partial(_lagrange, kernel(kind, 2 * index_max)), index_max)
 
 
 def _sum_table(kind: str, index_max: int) -> tuple[Fraction, ...]:
@@ -146,7 +197,7 @@ def _sum_table(kind: str, index_max: int) -> tuple[Fraction, ...]:
 
 def _bernoulli_exponent(order: int) -> TruncatedSeries:
     """sum_{m>=1} B_2m / (2m (2m-1)) x^(2m-1) to x^order (j = 2m-1 below)."""
-    b = combinat.bernoulli_numbers(order + 1)
+    b = bernoulli_numbers(order + 1)
     return TruncatedSeries(
         [b[j + 1] / ((j + 1) * j) if j % 2 else 0 for j in range(order + 1)]
     )

@@ -1,4 +1,4 @@
-"""Restricted set partitions, restricted permutations, Bernoulli numbers.
+"""Restricted set partitions and restricted permutations.
 
 stirling2_assoc(r, n, k) counts partitions of an n-set into k blocks of
 size at least r; derangement_assoc(r, n, k) counts permutations of an
@@ -21,9 +21,10 @@ str() of an int is quadratic (CPython 3.11) and refused past 4300
 digits.  The single-value functions run it on int and return int: each
 call streams the rows cut at column k up to row n, and the process
 keeps none of them, so a call for (r, n, k) costs O(n k) and never
-recurses.  coefficients.generalized_sums walks the full int rows for
-r = 3 once per call.  bernoulli_numbers keeps no state either: each
-call is one series inverse.
+recurses.  coefficients.generalized_sums walks the int rows for r = 3
+once per call, cut below as well as above: each count S(n, k) belongs
+to the one sum m = n - 2k + 1, and the rows keep only the counts of the
+sums m <= m_max it asks for, which are built from kept counts alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "derangement_from_series",
     "enumerate_oracle",
     "ENUMERATION_LIMIT",
-    "bernoulli_numbers",
     "comb_table",
     "KINDS",
 ]
@@ -76,8 +76,17 @@ def _validate(r: int, **counts: int) -> None:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 
+def _first_read(n: int, m_max: int) -> int:
+    """The least k with n - 2k + 1 <= m_max, at least 0."""
+    return max(0, (n + 2 - m_max) // 2)
+
+
 def _rows(
-    r: int, kind: str, width: int | None = None, one: int | Decimal = 1
+    r: int,
+    kind: str,
+    width: int | None = None,
+    one: int | Decimal = 1,
+    m_max: int | None = None,
 ) -> Iterator[list[int | Decimal]]:
     """Yield row n, the counts for k = 0..n//r, for n = 0, 1, 2, ...
 
@@ -86,30 +95,39 @@ def _rows(
     for cycles), or joins a larger block of a structure on n-1 elements:
     k ways for partitions, after any of the other n-1 elements for
     cycles.  So row n needs only rows n-1 and n-r, and only the last r
-    rows are kept.  Columns past width are cut.  Every entry has the
-    type of one, and so has every weight: new_block and n-1 are made
-    once per row, and k is counted up from one by itertools.count.  So
-    the row is built by map, with no per-count conversion or bytecode.
+    rows are kept.  Columns past width are cut.  With m_max given, so
+    are the columns before _first_read(n, m_max): row n then starts at
+    that column.  Count (n, k) is built from (n-1, k) and (n-r, k-1),
+    whose n - 2k + 1 is at most its own for r >= 2, so the cut rows are
+    exact.  Every entry has the type of one, and so has every weight:
+    new_block and n-1 are made once per row, and k is counted up from
+    one by itertools.count.  So the row is built by map, with no
+    per-count conversion or bytecode.
     """
     cycles = kind == "derangement"
     zero = one - one
     window: deque[list[int | Decimal]] = deque([[one]], maxlen=r)
+    # the first column of each row in window
+    firsts: deque[int] = deque([0], maxlen=r)
     yield window[-1]
     arrangements = 1
     for n in count(1):
         if cycles and n == r:
             arrangements = math.factorial(r - 1)
         top = n // r if width is None else min(n // r, width)
+        first = 0 if m_max is None else _first_read(n, m_max)
+        start = max(first, 1)  # column 0 is zero from row 1 on
         new_block = one * (math.comb(n - 1, r - 1) * arrangements)
-        weights = repeat(one * (n - 1)) if cycles else count(one, one)
+        weights = repeat(one * (n - 1)) if cycles else count(one * start, one)
         # row n-1 lacks column top when top has just grown
         previous = window[-1]
-        stay = previous[1 : top + 1] + [zero] * (top + 1 - len(previous))
-        row = [zero]
-        row += map(
-            add, map(mul, repeat(new_block), window[0]), map(mul, weights, stay)
-        )
+        stay = previous[start - firsts[-1] : top + 1 - firsts[-1]]
+        stay += [zero] * (top + 1 - start - len(stay))
+        blocks = window[0][start - 1 - firsts[0] :]
+        row = [zero] if first == 0 else []
+        row += map(add, map(mul, repeat(new_block), blocks), map(mul, weights, stay))
         window.append(row)
+        firsts.append(first)
         yield row
 
 
@@ -246,21 +264,6 @@ def enumerate_oracle(r: int, n: int, k: int, kind: str) -> int:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     tally = _partition_tally(r, n) if kind == "partition" else _cycle_tally(r, n)
     return tally[k] if k <= n else 0
-
-
-def bernoulli_numbers(m: int) -> tuple[Fraction, ...]:
-    """B_0 .. B_m, with the B_1 = -1/2 convention.
-
-    B_j is the j-th Taylor coefficient of x/(e^x - 1) (Comtet, *Advanced
-    Combinatorics*, 1974), so one inverse of (e^x - 1)/x, the series
-    sum_j x^j/(j+1)!, at order m gives them all.
-    """
-    if m < 0:
-        raise ValueError(f"Bernoulli index must be >= 0, got {m}")
-    inverse = TruncatedSeries(
-        [Fraction(1, math.factorial(j + 1)) for j in range(m + 1)]
-    ).inverse()
-    return tuple(inverse.egf_coefficient(j) for j in range(m + 1))
 
 
 def _exactly(rows: Iterator[list[Decimal]]) -> Iterator[list[Decimal]]:

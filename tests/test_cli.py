@@ -281,11 +281,12 @@ def test_verify_computes_each_route_and_inverse_series_once(
     # verify --max K runs identities.run_all(K), then
     # coefficients.verify_all(K).  On cold caches that is one reversion
     # per inverse series (exp and log at order K, exp at 2K+1 for the
-    # inverse table), each a_k once per kernel route, one pass of the
-    # generalized sums per kind for the count-sum tables (m <= 2K+1) and
-    # one for the generalized identity (m <= K), and one Bernoulli table
-    # for both the reciprocal check and the bernoulli column.  A second
-    # size computes all of it again: tables are kept per (method, K)
+    # inverse table), one kernel per inverse series and per kernel route,
+    # each a_k once per kernel route, one pass of the generalized sums
+    # per kind for the count-sum tables (m <= 2K+1) and one for the
+    # generalized identity (m <= K), and one Bernoulli table for both the
+    # reciprocal check and the bernoulli column.  A second size computes
+    # all of it again: tables are kept per (method, K)
     seen = []
 
     def counting(name, func):
@@ -304,7 +305,7 @@ def test_verify_computes_each_route_and_inverse_series_once(
         TruncatedSeries, "reversion",
         counting("reversion", TruncatedSeries.reversion),
     )
-    for name, key in [("inverse_egf_by_lagrange", "lagrange"),
+    for name, key in [("_lagrange", "lagrange"), ("kernel", "kernel"),
                       ("_bernoulli_exponent", "bernoulli")]:
         monkeypatch.setattr(
             coefficients, name, counting(key, getattr(coefficients, name))
@@ -316,7 +317,8 @@ def test_verify_computes_each_route_and_inverse_series_once(
         code, _, _ = run_cli(capsys, ["verify", "--max", str(size)])
         assert code == 0
         assert Counter(seen) == {
-            "reversion": 3, "lagrange": 2 * (size + 1), "bernoulli": 1,
+            "reversion": 3, "kernel": 5, "lagrange": 2 * (size + 1),
+            "bernoulli": 1,
             f"sums partition {2 * size + 1}": 1,
             f"sums derangement {2 * size + 1}": 1,
             f"sums partition {size}": 1, f"sums derangement {size}": 1,

@@ -4,17 +4,19 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlingexp import coefficients
+from stirlingexp import coefficients, combinat
 from stirlingexp.coefficients import (
     COEFF_METHODS,
+    bernoulli_numbers,
     coefficient_table,
     expansion_coefficients,
+    generalized_sums,
     inverse_egf_by_lagrange,
     inverse_series,
     inverse_series_by_recurrence,
@@ -101,6 +103,54 @@ def test_sum_tables_stay_small():
     assert peak < 1_000_000
 
 
+def _uncut_sums(kind, m_max):
+    # the generalized sums over the full count rows, each count tested
+    # against m_max: the pass generalized_sums made before its rows were
+    # cut below
+    totals = [0] * (m_max + 1)
+    for n, row in enumerate(islice(combinat._rows(3, kind), 3 * m_max - 2)):
+        for j, count in enumerate(row):
+            m = n - 2 * j + 1
+            if m <= m_max:
+                totals[m] = totals[m] * (m + 2 * j - 1) + (-1) ** j * count
+    sign = -1 if kind == "derangement" else 1
+    return tuple(
+        Fraction(sign ** (m + 1) * total, math.prod(range(m + 1, 3 * m - 2, 2)))
+        for m, total in enumerate(totals)
+    )
+
+
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+def test_cut_rows_give_the_sums_of_the_full_rows(kind):
+    for m_max in range(1, 91):
+        assert generalized_sums(kind, m_max) == _uncut_sums(kind, m_max), m_max
+
+
+@pytest.mark.parametrize("kind", ["partition", "derangement"])
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4, 7, 53, 90])
+def test_cut_rows_hold_exactly_the_counts_a_sum_reads(kind, m_max):
+    # count (n, j) of rows 0 .. 3 m_max - 3 is read by the sum
+    # m = n - 2j + 1 when m <= m_max; the cut rows hold those counts, at
+    # their own columns, and no other
+    last = 3 * m_max - 2
+    full = islice(combinat._rows(3, kind), last)
+    cut = islice(combinat._rows(3, kind, m_max=m_max), last)
+    kept = {
+        (n, j): count
+        for n, row in enumerate(cut)
+        for j, count in enumerate(row, combinat._first_read(n, m_max))
+    }
+    read = {
+        (n, j): count
+        for n, row in enumerate(full)
+        for j, count in enumerate(row)
+        if n - 2 * j + 1 <= m_max
+    }
+    assert kept == read
+    if m_max == 53:
+        assert len(kept) == 1431
+
+
 def test_inverse_series_listings():
     b = inverse_series("exp", 6)
     c = inverse_series("log", 6)
@@ -136,6 +186,80 @@ def test_lagrange_matches_reversion():
         assert inverse_egf_by_lagrange("log", k) == log_series.egf_coefficient(k)
     with pytest.raises(ValueError, match="Lagrange route needs k >= 1"):
         inverse_egf_by_lagrange("exp", 0)
+
+
+@pytest.mark.parametrize("kind", ["exp", "log"])
+def test_a_kernel_table_builds_its_kernel_once(kind, monkeypatch):
+    # every power reads a truncation of one kernel, of order 2K
+    calls = []
+    build = coefficients.kernel
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(coefficients, "kernel", counted)
+    assert coefficient_table(f"{kind}-kernel", 12)[:5] == tuple(KNOWN_EXPANSION)
+    assert calls == [(kind, 24)]
+
+
+def test_bernoulli_initial_segment():
+    expected = [
+        Fraction(1),
+        Fraction(-1, 2),
+        Fraction(1, 6),
+        Fraction(0),
+        Fraction(-1, 30),
+        Fraction(0),
+        Fraction(1, 42),
+        Fraction(0),
+        Fraction(-1, 30),
+        Fraction(0),
+        Fraction(5, 66),
+        Fraction(0),
+        Fraction(-691, 2730),
+        Fraction(0),
+        Fraction(7, 6),
+        Fraction(0),
+        Fraction(-3617, 510),
+        Fraction(0),
+        Fraction(43867, 798),
+        Fraction(0),
+        Fraction(-174611, 330),
+    ]
+    assert bernoulli_numbers(20) == tuple(expected)
+    assert bernoulli_numbers(0) == (1,)
+
+
+def test_bernoulli_defining_recurrence():
+    # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, the recurrence the numbers
+    # are classically defined by; the package builds them from the
+    # tangent numbers instead, so this is an independent oracle.  The sums
+    # are taken in integers over the common denominator of B_0..B_200
+    numbers = bernoulli_numbers(201)
+    den = math.lcm(*(b.denominator for b in numbers))
+    nums = [b.numerator * (den // b.denominator) for b in numbers]
+    for m in range(1, 201):
+        assert sum(math.comb(m + 1, j) * nums[j] for j in range(m + 1)) == 0, m
+
+
+def test_bernoulli_odd_indices_vanish():
+    numbers = bernoulli_numbers(29)
+    assert all(numbers[2 * t + 1] == 0 for t in range(1, 15))
+    with pytest.raises(ValueError, match="Bernoulli index must be >= 0"):
+        bernoulli_numbers(-1)
+
+
+def test_bernoulli_numbers_are_the_taylor_coefficients_of_x_over_expm1():
+    # the definition itself as the oracle: one series inverse of
+    # (e^x - 1)/x = sum_j x^j/(j+1)!, read as Taylor coefficients
+    quotient = TruncatedSeries(
+        [Fraction(1, math.factorial(j + 1)) for j in range(201)]
+    )
+    inverse = quotient.inverse()
+    expected = tuple(inverse.egf_coefficient(j) for j in range(201))
+    assert bernoulli_numbers(200) == expected
+    assert all(type(b) is Fraction for b in bernoulli_numbers(200))
 
 
 def test_recurrences_match_reversion():
@@ -301,31 +425,28 @@ FIRST_ORDER = {
 }
 REACH = {
     "exp-kernel": {
-        "coefficients._kernel_table",
-        "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
-        "coefficients._from_inverse",
-        "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",
-        *FIRST_ORDER,
+        "coefficients._kernel_table", "coefficients._lagrange",
+        "coefficients.kernel", "coefficients._from_inverse",
+        "TruncatedSeries.truncate", "TruncatedSeries.power_rational",
+        "TruncatedSeries.egf_coefficient", *FIRST_ORDER,
     },
     "log-kernel": {
-        "coefficients._kernel_table",
-        "coefficients.inverse_egf_by_lagrange", "coefficients.kernel",
-        "coefficients._from_inverse",
-        "TruncatedSeries.power_rational", "TruncatedSeries.egf_coefficient",
-        *FIRST_ORDER,
+        "coefficients._kernel_table", "coefficients._lagrange",
+        "coefficients.kernel", "coefficients._from_inverse",
+        "TruncatedSeries.truncate", "TruncatedSeries.power_rational",
+        "TruncatedSeries.egf_coefficient", *FIRST_ORDER,
     },
     "partition-sum": {
         "coefficients._sum_table", "coefficients.generalized_sums",
-        "coefficients._from_inverse", "combinat._rows",
+        "coefficients._from_inverse", "combinat._rows", "combinat._first_read",
     },
     "derangement-sum": {
         "coefficients._sum_table", "coefficients.generalized_sums",
-        "coefficients._from_inverse", "combinat._rows",
+        "coefficients._from_inverse", "combinat._rows", "combinat._first_read",
     },
     "bernoulli": {
         "coefficients.expansion_coefficients",
-        "coefficients._bernoulli_exponent", "combinat.bernoulli_numbers",
-        "TruncatedSeries.inverse", "TruncatedSeries.egf_coefficient",
+        "coefficients._bernoulli_exponent", "coefficients.bernoulli_numbers",
         "TruncatedSeries.exp", "TruncatedSeries.__add__",
         "TruncatedSeries.coeffs", *FIRST_ORDER,
     },

@@ -12,7 +12,6 @@ import pytest
 from stirlingexp import combinat
 from stirlingexp.combinat import (
     ENUMERATION_LIMIT,
-    bernoulli_numbers,
     comb_table,
     derangement_assoc,
     derangement_from_series,
@@ -157,53 +156,6 @@ def test_bad_arguments_rejected():
         stirling2_assoc(0, 3, 1)
     with pytest.raises(ValueError):
         derangement_assoc(3, -1, 0)
-
-
-def test_bernoulli_initial_segment():
-    expected = [
-        Fraction(1),
-        Fraction(-1, 2),
-        Fraction(1, 6),
-        Fraction(0),
-        Fraction(-1, 30),
-        Fraction(0),
-        Fraction(1, 42),
-        Fraction(0),
-        Fraction(-1, 30),
-        Fraction(0),
-        Fraction(5, 66),
-        Fraction(0),
-        Fraction(-691, 2730),
-        Fraction(0),
-        Fraction(7, 6),
-        Fraction(0),
-        Fraction(-3617, 510),
-        Fraction(0),
-        Fraction(43867, 798),
-        Fraction(0),
-        Fraction(-174611, 330),
-    ]
-    assert bernoulli_numbers(20) == tuple(expected)
-    assert bernoulli_numbers(0) == (1,)
-
-
-def test_bernoulli_defining_recurrence():
-    # sum_{j<=m} C(m+1, j) B_j = 0 for m >= 1, the recurrence the numbers
-    # are classically defined by; the package reads them off a series
-    # inverse instead, so this is an independent oracle.  The sums are
-    # taken in integers over the common denominator of B_0..B_200
-    numbers = bernoulli_numbers(201)
-    den = math.lcm(*(b.denominator for b in numbers))
-    nums = [b.numerator * (den // b.denominator) for b in numbers]
-    for m in range(1, 201):
-        assert sum(math.comb(m + 1, j) * nums[j] for j in range(m + 1)) == 0, m
-
-
-def test_bernoulli_odd_indices_vanish():
-    numbers = bernoulli_numbers(29)
-    assert all(numbers[2 * t + 1] == 0 for t in range(1, 15))
-    with pytest.raises(ValueError, match="Bernoulli index must be >= 0"):
-        bernoulli_numbers(-1)
 
 
 def test_comb_table_layout():

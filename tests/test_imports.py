@@ -20,9 +20,10 @@ SRC = str(Path(stirlingexp.__file__).resolve().parent.parent)
 
 # imports the package, runs the CLI on the given arguments (if any) with
 # its output discarded, and prints which stirlingexp submodules and which
-# of mpmath, dataclasses, inspect, fractions and decimal got loaded.
-# mpmath is for approx alone; dataclasses and inspect (12-15 ms of
-# start-up together) are for no command
+# of mpmath, dataclasses, inspect, fractions, decimal and json got
+# loaded.  mpmath is for approx alone; dataclasses and inspect (12-15 ms
+# of start-up together) are for no command; json is for the JSON formats
+# alone
 PROBE = """
 import contextlib, io, sys
 import stirlingexp
@@ -33,7 +34,7 @@ if sys.argv[1:]:
             cli.main(sys.argv[1:])
         except SystemExit:
             pass
-watched = ("mpmath", "dataclasses", "inspect", "fractions", "decimal")
+watched = ("mpmath", "dataclasses", "inspect", "fractions", "decimal", "json")
 print(*sorted(
     m for m in sys.modules if m in watched or m.startswith("stirlingexp.")
 ))
@@ -75,6 +76,23 @@ def test_exact_commands_start_without_mpmath(argv):
     assert _loaded(*argv) & {"mpmath", "dataclasses", "inspect"} == set()
 
 
+@pytest.mark.parametrize(
+    "argv, loads_json",
+    [
+        (COEFFS, False),
+        (COMB, False),
+        (COMB + ["--format", "json"], False),
+        (COEFFS + ["--format", "csv"], False),
+        (COEFFS + ["--format", "json"], True),
+    ],
+    ids=["coeffs-plain", "comb-plain", "comb-json", "coeffs-csv", "coeffs-json"],
+)
+def test_only_a_json_writer_loads_json(argv, loads_json):
+    # comb writes its JSON by hand; the other commands' JSON text is the
+    # one place json is imported
+    assert ("json" in _loaded(*argv)) is loads_json
+
+
 def test_import_loads_no_submodule():
     # the root imports nothing, so a bare import compiles and runs none
     # of the layers
@@ -96,7 +114,9 @@ def test_exact_commands_load_identities_only_for_verify(argv, checkers):
     assert loaded & {"stirlingexp.identities", "stirlingexp.asymptotic"} == checkers
 
 
-EXACT = {"stirlingexp.series", "stirlingexp.combinat", "stirlingexp.coefficients"}
+# the exact layers of the bernoulli table, which every numeric function
+# reads; the counting layer, combinat, serves the sum routes alone
+EXACT = {"stirlingexp.series", "stirlingexp.coefficients"}
 
 # runs the given statement after importing asymptotic, then prints what
 # got loaded, in sys.modules order: the other package modules and mpmath,
@@ -134,6 +154,7 @@ def test_series_vs_quadrature_loads_the_exact_layers_but_no_mpmath():
     # rounded in integers like the quadrature
     loaded = _numeric_loads("asymptotic.expansion_vs_quadrature(5, 3)")
     assert EXACT <= set(loaded)
+    assert "stirlingexp.combinat" not in loaded
     assert "stirlingexp.identities" not in loaded
     assert "mpmath" not in loaded
 
@@ -144,6 +165,7 @@ def test_coefficient_calls_load_the_exact_layers_ahead_of_mpmath(call):
     # coefficients need no identity check
     loaded = _numeric_loads(f"asymptotic.{call}")
     assert EXACT <= set(loaded)
+    assert "stirlingexp.combinat" not in loaded
     assert "stirlingexp.identities" not in loaded
     assert all(loaded.index(m) < loaded.index("mpmath") for m in EXACT)
 

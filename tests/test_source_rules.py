@@ -94,11 +94,12 @@ MPMATH_IMPORTERS = {
 }
 
 
-def test_only_the_approximation_of_n_factorial_imports_mpmath():
-    path = Path(stirlingexp.__file__).parent / "asymptotic.py"
+def _importers(module_file, imports):
+    """Qualified names of the top-level statements (and of the statements
+    of class bodies) of module_file with a node that imports(node)."""
+    path = Path(stirlingexp.__file__).parent / module_file
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    # each top-level statement, and each statement of a class body, by
-    # its qualified name; a module-level import has none
+    # a module-level statement other than a def or class has no name
     scopes = [
         (f"{node.name}.{getattr(member, 'name', '')}", member)
         for node in tree.body
@@ -109,13 +110,45 @@ def test_only_the_approximation_of_n_factorial_imports_mpmath():
         for node in tree.body
         if not isinstance(node, ast.ClassDef)
     ]
-    importers = {
+    return {
         name
         for name, scope in scopes
         for node in ast.walk(scope)
-        if any(m.split(".")[0] == "mpmath" for m in _imported_modules(node))
+        if imports(node)
     }
+
+
+def test_only_the_approximation_of_n_factorial_imports_mpmath():
+    importers = _importers(
+        "asymptotic.py",
+        lambda node: any(
+            m.split(".")[0] == "mpmath" for m in _imported_modules(node)
+        ),
+    )
     assert importers == MPMATH_IMPORTERS
+
+
+def _package_imports(node):
+    """The package modules a relative import names, from . import x or
+    from .x import y alike."""
+    if not isinstance(node, ast.ImportFrom) or not node.level:
+        return []
+    if node.module:
+        return [node.module.split(".")[0]]
+    return [alias.name for alias in node.names]
+
+
+# the functions of coefficients that import combinat: the count sums
+# alone.  The bernoulli table, which every numeric session reads, and
+# the kernel and inverse-table routes never compile the counting layer
+COMBINAT_IMPORTERS = {"generalized_sums"}
+
+
+def test_only_the_count_sums_import_the_counting_layer():
+    importers = _importers(
+        "coefficients.py", lambda node: "combinat" in _package_imports(node)
+    )
+    assert importers == COMBINAT_IMPORTERS
 
 
 def _is_fraction_call(node):
