@@ -47,12 +47,12 @@ SERIES_CHOICES = ("inv-exp", "inv-log", "exp-kernel", "log-kernel")
 # the cost grows about as K^4, in series reversion (order 2K+1 for coeffs
 # and verify, order K for series and verify's inverse series) and in the
 # kernel powers.  Fresh processes at the ceiling, pinned to one CPU of a
-# shared 2-vCPU machine, Python 3.11.7, on a busy day: coeffs --max 110
-# took 3.1-3.5 s and verify --max 110 3.0-3.5 s (five runs each), series
-# --order 260 2.8-3.3 s (inv-exp) and 4.2-4.9 s (inv-log) (three runs
-# each).  Single runs of coeffs --max 120 (8.9 s), series --order 300
-# (9.2 s) and verify --max 120 (9.0 s), timed when these three took
-# 5.2-5.3 s, came too close to the budget
+# shared 2-vCPU machine, Python 3.11.7, three runs each: coeffs --max 110
+# took 2.8-3.1 s, verify --max 110 2.9-3.2 s, and series --order 260
+# 1.9-2.0 s (inv-exp) and 2.6-3.0 s (inv-log).  Single runs of
+# coeffs --max 120 (8.9 s), series --order 300 (9.2 s) and verify --max
+# 120 (9.0 s), timed when these three took 5.2-5.3 s, came too close to
+# the budget
 COEFFS_MAX_K = 110
 SERIES_MAX_ORDER = 260
 VERIFY_MAX_K = 110

@@ -20,9 +20,10 @@ Products and recurrences do not add Fractions term by term, which would
 reduce every partial sum by a gcd.  They lift their inputs once to
 integer numerators over a common denominator (the lcm of the input
 denominators), take every inner sum as one integer dot product, and build
-one reduced Fraction per output coefficient.  The recurrences and the
-columns of the Bell triangle keep their values so far over a running
-common denominator (``_Running``).
+one reduced Fraction per output coefficient.  The recurrences keep their
+values so far over a running common denominator (``_Running``); each row
+of the Bell triangle is integers over one reduced denominator of its own,
+with no Fraction per entry.
 
 The truncation order is explicit on every series and there is no global
 precision state.  Mixing two series of different orders is treated as a
@@ -275,45 +276,68 @@ class TruncatedSeries:
 
         Requires coeffs[0] == 0 and coeffs[1] != 0.  Solves the triangular
         system in the Taylor basis (Comtet, *Advanced Combinatorics*, 1974,
-        section 3.8).  With e_j = j! coeffs[j], the partial Bell polynomials
-
-            B(n, k) = sum_{j=1..n-k+1} C(n-1, j-1) e_j B(n-j, k-1)
-
-        are the Taylor coefficients of self^k / k!, so the Taylor
-        coefficients g of S satisfy sum_{k=1..n} g_k B(n, k) = [n == 1],
-        with diagonal B(n, n) = e_1^n.  The triangle is built a row at a
-        time; each column keeps its entries as integer numerators over a
-        running denominator, so each entry is one integer dot product of
-        the row's weights C(n-1, j-1) e_j with the column to its left.
+        section 3.8): the Taylor coefficients g of S satisfy
+        sum_{k=1..n} g_k B(n, k) = [n == 1] against the partial Bell
+        triangle of :meth:`_bell_rows`, whose diagonal B(n, n) = e_1^n is
+        nonzero.  Each g_n is one integer dot product with row n, in which
+        the row's denominator cancels.
         """
         f = self._coeffs
         if f[0] != 0:
             raise ValueError("reversion requires a zero constant term")
         if self.order < 1 or f[1] == 0:
             raise ValueError("reversion requires a nonzero linear term")
-        e, den = _lift([math.factorial(j) * c for j, c in enumerate(f)])
-        columns = [_Running(f[1])]  # columns[k-1] holds B(k..n-1, k)
-        taylor = [1 / f[1]]  # g_1, g_2, ...
+        rows = self._bell_rows()
+        (first,), den = next(rows)
+        taylor = [Fraction(den, first)]  # g_1 = 1/e_1, g_2, ...
         g = _Running(taylor[0])
-        for n in range(2, self.order + 1):
-            weights = [math.comb(n - 1, j - 1) * e[j] for j in range(1, n)]
-            # row n: B(n, 1) = e_n, then B(n, k) from column k-1 for k = 2..n
-            row = [Fraction(e[n], den)] + [
-                Fraction(sum(map(mul, weights, reversed(col.nums))), den * col.den)
-                for col in columns
-            ]
-            for col, value in zip(columns, row):
-                col.append(value)
-            columns.append(_Running(row[-1]))
-            # g_n = -sum_{k<n} g_k B(n, k) / b with b = B(n, n)
-            nums, rden = _lift(row[:-1])
-            acc = sum(map(mul, g.nums, nums))
-            b = row[-1]
-            taylor.append(Fraction(-acc * b.denominator, g.den * rden * b.numerator))
+        for row, _ in rows:
+            # g_n = -sum_{k<n} g_k B(n, k) / B(n, n)
+            taylor.append(Fraction(-sum(map(mul, g.nums, row)), g.den * row[-1]))
             g.append(taylor[-1])
         return TruncatedSeries(
             [Fraction(0)] + [t / math.factorial(m) for m, t in enumerate(taylor, 1)]
         )
+
+    def _bell_rows(self):
+        """Rows n = 1..order of the triangle of partial Bell polynomials
+
+            B(n, k) = sum_{j=1..n-k+1} C(n-1, j-1) e_j B(n-j, k-1)
+
+        of the Taylor coefficients e_j = j! coeffs[j], the Taylor
+        coefficients of self^k / k!.  Row n is yielded as the integer
+        numerators of B(n, 1..n) and their one denominator R_n, the lcm of
+        the row's reduced denominators.
+
+        With e_j = E_j/d_j reduced and R_0 = 1, row n is first taken over
+        L_n = lcm_{j=1..n} d_j R_{n-j}: each entry is one integer dot
+        product of the row's weights C(n-1, j-1) E_j L_n/(d_j R_{n-j})
+        with the column to its left, and B(n, 1) is the last weight,
+        E_n L_n/d_n.  Dividing the row and L_n by their gcd leaves R_n.
+        """
+        E, d = zip(*(
+            (math.factorial(j) * c).as_integer_ratio()
+            for j, c in enumerate(self._coeffs)
+        ))
+        R = [1]  # R_0, R_1, ...
+        columns = []  # columns[k-1] holds the numerators of B(k..n-1, k)
+        for n in range(1, self.order + 1):
+            scales = [d[j] * R[n - j] for j in range(1, n + 1)]
+            lcm = math.lcm(*scales)
+            weights = [
+                math.comb(n - 1, j) * E[j + 1] * (lcm // s)
+                for j, s in enumerate(scales)
+            ]
+            row = [weights[-1]] + [
+                sum(map(mul, weights, reversed(col))) for col in columns
+            ]
+            common = math.gcd(lcm, *row)
+            R.append(lcm // common)
+            row = [v // common for v in row]
+            for col, v in zip(columns, row):
+                col.append(v)
+            columns.append([row[-1]])
+            yield row, R[-1]
 
     # ------------------------------------------------------------------
     # presentation and serialization

@@ -616,9 +616,50 @@ def _lifted_root(kernel):
 @pytest.mark.parametrize("kind", coefficients.KERNELS)
 def test_reversion_of_kernel_root_matches_schoolbook_at_order_53(kind):
     # the order coeffs --max 26 reverts at, where the Bell triangle's
-    # columns rescale many times
+    # rows run to hundreds of digits
     lifted = _lifted_root(coefficients.kernel(kind, 52))
     assert list(lifted.reversion().coeffs) == _naive_reversion(lifted.coeffs)
+
+
+def _cancelling(order):
+    """-3x/2 + sum_{j>=2} x^j/(10j + 1).  Its Taylor coefficients
+    j!/(10j + 1) keep primes above j in their denominators, and factors
+    of those cancel inside 36 of the 40 rows of its Bell triangle."""
+    return [Fraction(0), Fraction(-3, 2)] + [
+        Fraction(1, 10 * j + 1) for j in range(2, order + 1)
+    ]
+
+
+def test_reversion_with_negative_linear_term_matches_schoolbook_at_order_40():
+    f = _cancelling(40)
+    assert list(TruncatedSeries(f).reversion().coeffs) == _naive_reversion(f)
+
+
+def test_bell_rows_are_reduced_over_their_denominators_lcm():
+    order = 12
+    f = _cancelling(order)
+    taylor = [math.factorial(j) * c for j, c in enumerate(f)]
+    powers = [None, f]
+    for _ in range(2, order + 1):
+        powers.append(_naive_mul(powers[-1], f))
+    dens = [1]
+    reduced_rows = 0
+    for n, (row, den) in enumerate(TruncatedSeries(f)._bell_rows(), 1):
+        values = [Fraction(v, den) for v in row]
+        # B(n, k) = n!/k! [x^n] f^k
+        assert values == [
+            math.factorial(n) * powers[k][n] / math.factorial(k)
+            for k in range(1, n + 1)
+        ]
+        assert den == math.lcm(*(v.denominator for v in values))
+        # the row's common denominator before the gcd, L_n
+        common = math.lcm(
+            *(taylor[j].denominator * dens[n - j] for j in range(1, n + 1))
+        )
+        reduced_rows += common != den
+        dens.append(den)
+    assert len(dens) == order + 1
+    assert reduced_rows > 0
 
 
 @pytest.mark.slow
