@@ -21,14 +21,6 @@ cyclic garbage, unclosed files included.
 
 from __future__ import annotations
 
-# the exact layers, which build_parser already needs; only verify's
-# identities and approx's asymptotic are imported by their runners.
-# Ahead of the standard library on purpose: where bytecode is not
-# cached, these modules are compiled on import, and compiled after the
-# standard-library modules below had loaded they raised the peak RSS of
-# coeffs and verify by 0.15-0.23 MB (0.02-0.09 MB when compiled first)
-from . import _MIN_PRECISION_BITS, DEFAULT_PRECISION_BITS, coefficients, combinat
-
 import argparse
 import contextlib
 import gc
@@ -36,6 +28,17 @@ import io
 import os
 import sys
 from collections.abc import Iterator, Sequence
+
+# the parser's choices and defaults come from the package root, and each
+# runner imports the layers it runs: comb compiles combinat alone, and
+# series and approx never compile combinat.  Where bytecode is not
+# cached, coeffs and verify then compile their layers after argparse,
+# which raised their peak RSS by 0.20 and 0.14 MB against compiling them
+# first (medians of three bench/run.py pairs, Python 3.11.7, one CPU of
+# a shared 2-vCPU machine); comb, which compiled coefficients and series
+# without running them, fell 5.8% in wall time and 0.40 MB in peak RSS
+# (ten pairs)
+from . import _MIN_PRECISION_BITS, COEFF_METHODS, DEFAULT_PRECISION_BITS, KINDS
 
 PRECISION_ENV_VAR = "STIRLINGEXP_PRECISION_BITS"
 
@@ -128,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument(
         "--methods",
         nargs="+",
-        choices=coefficients.COEFF_METHODS + ("all",),
+        choices=COEFF_METHODS + ("all",),
         default=["all"],
     )
     p_coeffs.add_argument("--format", choices=FORMATS, default="plain")
@@ -168,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_comb.add_argument("--r", type=int, default=3)
     p_comb.add_argument("--max-n", type=int, default=9)
     p_comb.add_argument(
-        "--kind", choices=combinat.KINDS, default="partition"
+        "--kind", choices=KINDS, default="partition"
     )
     p_comb.add_argument("--format", choices=FORMATS, default="plain")
     p_comb.set_defaults(run=_run_comb)
@@ -238,7 +241,9 @@ def _run_coeffs(args) -> int:
     if args.max < 0:
         raise _UsageError("--max must be >= 0")
     _check_ceiling("--max", args.max, COEFFS_MAX_K)
-    methods = coefficients.COEFF_METHODS if "all" in args.methods else args.methods
+    from . import coefficients
+
+    methods = COEFF_METHODS if "all" in args.methods else args.methods
     with _data_out(args.output) as out:
         cross = coefficients.verify_all(args.max, methods)
         if args.format == "json":
@@ -272,6 +277,8 @@ def _run_series(args) -> int:
         raise _UsageError(f"--order must be >= {min_order} for {args.which}")
     _check_ceiling("--order", args.order, SERIES_MAX_ORDER)
     head, tail = args.which.split("-")
+    from . import coefficients
+
     with _data_out(args.output) as out:
         if head == "inv":
             series = coefficients.inverse_series(tail, args.order)
@@ -292,7 +299,7 @@ def _run_verify(args) -> int:
     if args.max < 3:
         raise _UsageError("--max must be >= 3")
     _check_ceiling("--max", args.max, VERIFY_MAX_K)
-    from . import identities
+    from . import coefficients, identities
 
     with _data_out(args.output) as out:
         reports = identities.run_all(args.max)
@@ -332,8 +339,8 @@ def _run_approx(args) -> int:
         option, precision, _MIN_PRECISION_BITS, APPROX_MAX_PRECISION_BITS
     )
     # the only command that needs mpmath, so the only one that imports
-    # asymptotic, whose approx_factorial loads it after the exact layers,
-    # which are loaded already (asymptotic's docstring says why)
+    # asymptotic, whose approx_factorial loads it after the exact layers
+    # (asymptotic's docstring says why)
     from . import asymptotic
 
     with _data_out(args.output) as out:
@@ -395,6 +402,8 @@ def _run_comb(args) -> int:
     if args.max_n < 0:
         raise _UsageError("--max-n must be >= 0")
     _check_ceiling("--max-n", args.max_n, COMB_MAX_N)
+    from . import combinat
+
     try:
         rows = combinat.comb_table(args.r, args.max_n, args.kind)
     except ValueError as exc:
@@ -405,8 +414,8 @@ def _run_comb(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser is dropped before the runner compiles its layers
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except _UsageError as exc:

@@ -44,17 +44,17 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache, partial
 from itertools import islice
+from operator import mul
 
+from . import COEFF_METHODS, KINDS
 from .series import TruncatedSeries, _Running
 
 __all__ = [
-    "COEFF_METHODS",
     "KERNELS",
     "kernel",
     "bernoulli_numbers",
     "expansion_coefficients",
     "inverse_series",
-    "inverse_egf_by_lagrange",
     "inverse_series_by_recurrence",
     "generalized_sums",
     "coefficient_table",
@@ -127,17 +127,6 @@ def _from_inverse(c: Callable, index_max: int) -> tuple[Fraction, ...]:
     )
 
 
-def inverse_egf_by_lagrange(kind: str, k: int) -> Fraction:
-    """k-th Taylor coefficient of the compositional inverse, closed form.
-
-    Lagrange inversion gives the (k-1)-th derivative at 0 of
-    kernel^(-k/2), with no reversion performed.
-    """
-    if k < 1:
-        raise ValueError(f"Lagrange route needs k >= 1, got {k}")
-    return _lagrange(kernel(kind, k - 1), k)
-
-
 def _lagrange(base: TruncatedSeries, k: int) -> Fraction:
     # the (k-1)-th derivative at 0 of base^(-k/2), which reads base only
     # to x^(k-1): any kernel of order >= k - 1 serves
@@ -149,7 +138,7 @@ def generalized_sums(kind: str, m_max: int) -> tuple[Fraction, ...]:
     """G(0) .. G(m_max), the generalized sums, from one pass over the rows.
 
     G(m) = sum_j (-1)^j S(m+2j-1, j) / ((m+1)(m+3)...(m+2j-1)), with
-    S(n, j) the count of kind (combinat.KINDS) on n elements in j blocks
+    S(n, j) the count of kind (one of KINDS) on n elements in j blocks
     or cycles, each of size >= 3; on the derangement side G(m) carries
     the sign (-1)^(m-1).  G(m) is the m-th Taylor coefficient of the
     exp-side (partition) or log-side (derangement) inverse series, and
@@ -163,8 +152,8 @@ def generalized_sums(kind: str, m_max: int) -> tuple[Fraction, ...]:
     """
     from . import combinat
 
-    if kind not in combinat.KINDS:
-        raise ValueError(f"kind must be one of {combinat.KINDS}, got {kind!r}")
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if m_max < 1:
         raise ValueError(f"index must be >= 1, got {m_max}")
     totals = [0] * (m_max + 1)
@@ -231,7 +220,13 @@ def inverse_series_by_recurrence(kind: str, order: int) -> TruncatedSeries:
 
         (k+1) v[k] = s_k v[k-1] - sum_{j=1}^{k-2} (j+1) v[j+1] v[k-j],
 
-    from v[0] = 0 and v[1] = 1.  No reversion is performed.
+    from v[0] = 0 and v[1] = 1.  No reversion is performed.  The terms
+    i = j+1 and k+1-i of the sum carry weights that add to k+1, so the
+    sum is (k+1)/2 times sum_{i=2}^{k-1} v[i] v[k+1-i], and
+
+        v[k] = s_k v[k-1] / (k+1) - (1/2) sum_{i=2}^{k-1} v[i] v[k+1-i],
+
+    in which each symmetric pair is multiplied once.
     """
     if kind not in KERNELS:
         raise ValueError(f"kernel must be one of {KERNELS}, got {kind!r}")
@@ -241,13 +236,17 @@ def inverse_series_by_recurrence(kind: str, order: int) -> TruncatedSeries:
     v = _Running(values[0])
     v.append(values[1])
     for k in range(2, order + 1):
-        shift = Fraction(1 - k, 2) if kind == "exp" else 1
-        # v[i] = nums[i] / den, so the cross sum is an int over den^2
+        shift = 1 - k if kind == "exp" else 2  # 2 s_k
+        # v[i] = nums[i] / den, so the sum over i is an int over den^2:
+        # twice the pairs with i < k+1-i, plus the middle square for odd k
         nums, den = v.nums, v.den
-        cross = sum((j + 1) * nums[j + 1] * nums[k - j] for j in range(1, k - 1))
-        p, q = shift.numerator, shift.denominator
+        mid = (k + 1) // 2
+        pairs = sum(map(mul, nums[2 : (k + 2) // 2], nums[k - 1 : mid : -1]))
+        total = 2 * pairs + (nums[mid] ** 2 if k % 2 else 0)
         values.append(
-            Fraction(p * nums[k - 1] * den - q * cross, q * den * den * (k + 1))
+            Fraction(
+                shift * nums[k - 1] * den - (k + 1) * total, 2 * (k + 1) * den * den
+            )
         )
         v.append(values[-1])
     return TruncatedSeries(values, order=order)
@@ -273,18 +272,22 @@ def _inverse_table(index_max: int) -> tuple[Fraction, ...]:
     return _from_inverse(series.egf_coefficient, index_max)
 
 
-# every route, computing the whole table a_0..a_K
-_TABLES = {
-    "exp-kernel": partial(_kernel_table, "exp"),
-    "log-kernel": partial(_kernel_table, "log"),
-    "partition-sum": partial(_sum_table, "partition"),
-    "derangement-sum": partial(_sum_table, "derangement"),
-    "bernoulli": expansion_coefficients,
-    "inverse-table": _inverse_table,
-}
-
-# methods that produce the expansion coefficients a_k themselves
-COEFF_METHODS = tuple(_TABLES)
+# every route, computing the whole table a_0..a_K, keyed by its name in
+# the package root's COEFF_METHODS
+_TABLES = dict(
+    zip(
+        COEFF_METHODS,
+        (
+            partial(_kernel_table, "exp"),
+            partial(_kernel_table, "log"),
+            partial(_sum_table, "partition"),
+            partial(_sum_table, "derangement"),
+            expansion_coefficients,
+            _inverse_table,
+        ),
+        strict=True,
+    )
+)
 
 
 @cache

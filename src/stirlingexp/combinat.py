@@ -5,7 +5,10 @@ size at least r; derangement_assoc(r, n, k) counts permutations of an
 n-set with k cycles of length at least r.  Both are computed by a
 two-term recurrence and independently by exponential generating series;
 enumerate_oracle counts the actual structures by brute force for small n
-so the other two routes can be checked against ground truth.
+so the other two routes can be checked against ground truth.  The
+series route imports series and fractions when it runs, so a process
+that only prints the recurrence's table (the comb command) compiles
+neither.
 
 The recurrence is one loop, _rows, that yields the triangle row by row:
 row n holds the counts for k = 0..n//r and is built from rows n-1 and
@@ -34,12 +37,11 @@ import math
 from collections import deque
 from collections.abc import Callable, Iterator
 from decimal import Decimal
-from fractions import Fraction
 from functools import cache
 from itertools import count, islice, permutations, repeat
 from operator import add, mul
 
-from .series import TruncatedSeries
+from . import KINDS
 
 __all__ = [
     "stirling2_assoc",
@@ -49,14 +51,11 @@ __all__ = [
     "enumerate_oracle",
     "ENUMERATION_LIMIT",
     "comb_table",
-    "KINDS",
 ]
 
 # brute-force enumeration walks all set partitions / permutations, so n
 # is capped to keep the worst case below a second or two
 ENUMERATION_LIMIT = 9
-
-KINDS = ("partition", "derangement")
 
 # the context of comb_table's row arithmetic: unbounded digits and
 # exponents, and any inexact, overflowing or invalid step raises
@@ -167,6 +166,8 @@ def _count_from_series(
     term(r)^j x^(rj) (h/term(r))^j: zero at x^l when rj > l, and else
     read at x^(l-rj) of the power of a series with constant term 1.
     """
+    from .series import TruncatedSeries
+
     _validate(r, l=l, j=j)
     if r * j > l:
         return 0
@@ -187,6 +188,8 @@ def stirling2_from_series(r: int, l: int, j: int) -> int:
 
     Independent generating-series route to stirling2_assoc(r, l, j).
     """
+    from fractions import Fraction
+
     return _count_from_series(
         "S", r, l, j, lambda i: Fraction(1, math.factorial(i))
     )
@@ -197,6 +200,8 @@ def derangement_from_series(r: int, l: int, j: int) -> int:
 
     Independent generating-series route to derangement_assoc(r, l, j).
     """
+    from fractions import Fraction
+
     return _count_from_series("D", r, l, j, lambda i: Fraction(1, i))
 
 

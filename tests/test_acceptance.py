@@ -11,7 +11,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from stirlingexp import asymptotic, coefficients, combinat, identities
-from stirlingexp.coefficients import COEFF_METHODS
+from stirlingexp import COEFF_METHODS
 
 XSQ_HALF = Fraction(1, 2)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from stirlingexp import asymptotic, cli, coefficients, combinat, identities
-from stirlingexp.coefficients import COEFF_METHODS
+from stirlingexp import COEFF_METHODS
 from stirlingexp.identities import report_from_pairs
 from stirlingexp.series import TruncatedSeries
 
@@ -85,7 +85,7 @@ def test_coeffs_at_max_zero_prints_one_row(capsys):
     code, out, err = run_cli(capsys, ["coeffs", "--max", "0"])
     assert (code, err) == (0, "")
     assert out.splitlines() == [
-        "a_0: " + ", ".join(f"{m}=1" for m in coefficients.COEFF_METHODS) + " [ok]"
+        "a_0: " + ", ".join(f"{m}=1" for m in COEFF_METHODS) + " [ok]"
     ]
 
 
@@ -186,6 +186,29 @@ def test_size_above_the_ceiling_is_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "must be <=" in err
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--max", str(cli.COEFFS_MAX_K)],
+        ["verify", "--max", str(cli.VERIFY_MAX_K)],
+    ],
+    ids=["coeffs", "verify"],
+)
+def test_the_ceiling_runs_to_agreement(capsys, argv):
+    # the largest K each command serves: the six routes agree at every
+    # index, and verify's every identity holds
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    lines, k = out.splitlines(), int(argv[-1])
+    if argv[0] == "coeffs":
+        assert len(lines) == k + 1
+        assert all(line.endswith(" [ok]") for line in lines)
+    else:
+        assert all(line.startswith("ok   ") for line in lines)
+        assert lines[-1] == f"ok   coefficient-cross-check [0..{k}]"
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlingexp import coefficients, combinat
+from stirlingexp import COEFF_METHODS, coefficients, combinat
 from stirlingexp.coefficients import (
-    COEFF_METHODS,
     bernoulli_numbers,
     coefficient_table,
     expansion_coefficients,
     generalized_sums,
-    inverse_egf_by_lagrange,
     inverse_series,
     inverse_series_by_recurrence,
     verify_all,
@@ -182,10 +180,10 @@ def test_lagrange_matches_reversion():
     exp_series = inverse_series("exp", 9)
     log_series = inverse_series("log", 9)
     for k in range(1, 10):
-        assert inverse_egf_by_lagrange("exp", k) == exp_series.egf_coefficient(k)
-        assert inverse_egf_by_lagrange("log", k) == log_series.egf_coefficient(k)
-    with pytest.raises(ValueError, match="Lagrange route needs k >= 1"):
-        inverse_egf_by_lagrange("exp", 0)
+        exp_k = coefficients._lagrange(coefficients.kernel("exp", k - 1), k)
+        log_k = coefficients._lagrange(coefficients.kernel("log", k - 1), k)
+        assert exp_k == exp_series.egf_coefficient(k)
+        assert log_k == log_series.egf_coefficient(k)
 
 
 @pytest.mark.parametrize("kind", ["exp", "log"])

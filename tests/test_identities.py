@@ -4,11 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from stirlingexp.coefficients import (
-    generalized_sums,
-    inverse_egf_by_lagrange,
-    inverse_series,
-)
+from stirlingexp import coefficients
+from stirlingexp.coefficients import generalized_sums, inverse_series
 from stirlingexp.identities import (
     check_derivative_vs_partition_sum,
     check_differential_equations,
@@ -50,8 +47,10 @@ def test_generalized_sums_reproduce_inverse_coefficients():
     partition = generalized_sums("partition", 40)
     derangement = generalized_sums("derangement", 40)
     for k in range(1, 41):
-        assert partition[k] == inverse_egf_by_lagrange("exp", k)
-        assert derangement[k] == inverse_egf_by_lagrange("log", k)
+        exp_k = coefficients._lagrange(coefficients.kernel("exp", k - 1), k)
+        log_k = coefficients._lagrange(coefficients.kernel("log", k - 1), k)
+        assert partition[k] == exp_k
+        assert derangement[k] == log_k
 
 
 def test_generalized_sums_do_not_depend_on_the_size_asked_for():

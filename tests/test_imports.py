@@ -1,8 +1,8 @@
 """What each command imports, and where each public name lives.
 
-The package root defines only its version and the precision defaults;
-every public name is reached through the one submodule that defines and
-exports it.
+The package root defines only its version, the coefficient-method and
+count-kind names and the precision defaults; every other public name is
+reached through the one submodule that defines and exports it.
 """
 
 import importlib
@@ -21,9 +21,9 @@ SRC = str(Path(stirlingexp.__file__).resolve().parent.parent)
 # imports the package, runs the CLI on the given arguments (if any) with
 # its output discarded, and prints which stirlingexp submodules and which
 # of mpmath, dataclasses, inspect, fractions, decimal and json got
-# loaded.  mpmath is for approx alone; dataclasses and inspect (12-15 ms
-# of start-up together) are for no command; json is for the JSON formats
-# alone
+# loaded, in the order they were loaded.  mpmath is for approx alone;
+# dataclasses and inspect (12-15 ms of start-up together) are for no
+# command; json is for the JSON formats alone
 PROBE = """
 import contextlib, io, sys
 import stirlingexp
@@ -35,9 +35,7 @@ if sys.argv[1:]:
         except SystemExit:
             pass
 watched = ("mpmath", "dataclasses", "inspect", "fractions", "decimal", "json")
-print(*sorted(
-    m for m in sys.modules if m in watched or m.startswith("stirlingexp.")
-))
+print(*(m for m in sys.modules if m in watched or m.startswith("stirlingexp.")))
 """
 
 
@@ -65,6 +63,40 @@ COEFFS = ["coeffs", "--max", "6"]
 SERIES = ["series", "--which", "inv-exp", "--order", "6"]
 COMB = ["comb", "--r", "3", "--max-n", "9", "--kind", "derangement"]
 VERIFY = ["verify", "--max", "4"]
+APPROX = ["approx", "--n", "5"]
+
+# the package modules, fractions and mpmath that each command loads: cli
+# imports each layer in the runner that uses it, so comb compiles the
+# counting layer alone, series and approx the exact layers they run,
+# and coeffs and verify add combinat for the sum routes
+SERIES_LOADS = {
+    "stirlingexp.cli", "stirlingexp.coefficients", "stirlingexp.series", "fractions"
+}
+COEFFS_LOADS = SERIES_LOADS | {"stirlingexp.combinat"}
+COMMAND_LOADS = {
+    "comb": (COMB, {"stirlingexp.cli", "stirlingexp.combinat"}),
+    "series": (SERIES, SERIES_LOADS),
+    "approx": (APPROX, SERIES_LOADS | {"stirlingexp.asymptotic", "mpmath"}),
+    "coeffs": (COEFFS, COEFFS_LOADS),
+    "verify": (VERIFY, COEFFS_LOADS | {"stirlingexp.identities"}),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_LOADS))
+def test_each_command_loads_only_the_layers_it_runs(command):
+    argv, expected = COMMAND_LOADS[command]
+    loaded = _fresh(PROBE, *argv).split()
+    watched = [
+        m
+        for m in loaded
+        if m.startswith("stirlingexp.") or m in ("fractions", "mpmath")
+    ]
+    assert set(watched) == expected
+    if "mpmath" in watched:
+        # the exact layers compile ahead of mpmath (asymptotic's
+        # docstring says why)
+        exact = {"stirlingexp.coefficients", "stirlingexp.series"}
+        assert exact <= set(watched[: watched.index("mpmath")])
 
 
 @pytest.mark.parametrize(
@@ -171,12 +203,15 @@ def test_coefficient_calls_load_the_exact_layers_ahead_of_mpmath(call):
 
 
 def test_approx_loads_mpmath():
-    loaded = _loaded("approx", "--n", "5")
+    loaded = _loaded(*APPROX)
     assert {"mpmath", "stirlingexp.asymptotic"} <= loaded
     assert loaded & {"dataclasses", "inspect"} == set()
 
 
 LAYERS = ("series", "combinat", "coefficients", "identities", "asymptotic")
+
+# the public names that the package root defines itself
+ROOT_NAMES = ("COEFF_METHODS", "DEFAULT_PRECISION_BITS", "KINDS")
 
 # (layer, name) for every name a layer exports
 EXPORTS = [
@@ -186,8 +221,15 @@ EXPORTS = [
 ]
 
 
-@pytest.mark.parametrize("name", [*LAYERS, *sorted(name for _, name in EXPORTS)])
+@pytest.mark.parametrize(
+    "name", [*LAYERS, *sorted([*ROOT_NAMES, *(name for _, name in EXPORTS)])]
+)
 def test_every_public_name_resolves_to_its_home_object(name):
+    if name in ROOT_NAMES:
+        # the root defines it, and no layer exports it too
+        assert name in vars(stirlingexp)
+        assert [layer for layer, exported in EXPORTS if exported == name] == []
+        return
     if name in LAYERS:
         # the import system binds a submodule on the package, no hook needed
         namespace = {}
@@ -204,6 +246,8 @@ def test_every_public_name_resolves_to_its_home_object(name):
 
 
 def test_import_binds_only_the_version():
+    # besides the version, the root binds the names that the CLI's parser
+    # offers or checks before a command runs, and no submodule
     code = (
         "import stirlingexp\n"
         "print(*sorted(n for n in vars(stirlingexp) if not n.startswith('__')))\n"
@@ -213,7 +257,7 @@ def test_import_binds_only_the_version():
         "print(coefficients.verify_all.__module__, asymptotic.__name__)\n"
     )
     assert _fresh(code).splitlines() == [
-        "DEFAULT_PRECISION_BITS _MIN_PRECISION_BITS",
+        "COEFF_METHODS DEFAULT_PRECISION_BITS KINDS _MIN_PRECISION_BITS",
         stirlingexp.__version__,
         "False",
         "stirlingexp.coefficients stirlingexp.asymptotic",

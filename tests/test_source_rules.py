@@ -151,6 +151,23 @@ def test_only_the_count_sums_import_the_counting_layer():
     assert importers == COMBINAT_IMPORTERS
 
 
+def test_cli_imports_no_layer_at_module_level():
+    # each runner imports the layers it uses, so a command compiles only
+    # what it runs: comb never compiles coefficients or series
+    path = Path(stirlingexp.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    layers = {info.name for info in pkgutil.iter_modules(stirlingexp.__path__)}
+    found = [
+        f"cli.py:{node.lineno} {module}"
+        for statement in tree.body
+        if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(statement)
+        for module in _package_imports(node)
+        if module in layers
+    ]
+    assert found == []
+
+
 def _is_fraction_call(node):
     return (
         isinstance(node, ast.Call)
@@ -282,7 +299,7 @@ def test_the_first_order_recurrences_share_one_loop():
 def test_benchmark_names_the_package_coefficient_methods():
     # bench/run.py keeps its own copy of the method names, from which it
     # builds the coeffs deck and the per-route metric names
-    from stirlingexp.coefficients import COEFF_METHODS
+    from stirlingexp import COEFF_METHODS
 
     path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
